@@ -148,8 +148,6 @@ def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
 
 # PulseParams fields in L-P-W-H-D order.
 _PULSE_FIELDS = ("low_n", "period_n", "width_n", "high_n", "delay_n")
-# Upper bound of each normalized field, as PulseParams enforces it.
-_FIELD_LIMITS = np.array([[1.0], [2.0], [1.0], [1.0], [1.0]])
 
 
 def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -157,13 +155,20 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
 
     Returns the normalized pulse fields as a (channels, 5, B) array, with
     channels in input order and fields in L-P-W-H-D order, and the static
-    values as (B,) arrays.  Raises ``ValueError`` where a field leaves the
-    range :class:`PulseParams` accepts.
+    values as (B,) arrays.  Raises ``ValueError`` for a point outside
+    [0, 1]^dim; inside it every field lies in its coordinate's native range,
+    which :class:`PulseParams` accepts.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != space.dimension:
         raise ValueError(
             f"expected points of dimension {space.dimension}, got shape {points.shape}"
+        )
+    bad = ~((0.0 <= points) & (points <= 1.0))
+    if np.any(bad):
+        row, column = np.argwhere(bad)[0]
+        raise ValueError(
+            f"coordinate {space.coords[column].name} must be in [0, 1], got {points[row, column]}"
         )
     lower = np.array([c.lower for c in space.coords])
     upper = np.array([c.upper for c in space.coords])
@@ -178,13 +183,6 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
             fields[channels.index(coord.channel), _CANONICAL_ORDER.index(coord.param)] = column
         else:
             statics[coord.static_name] = column
-    bad = ~((0.0 <= fields) & (fields <= _FIELD_LIMITS))
-    if np.any(bad):
-        _, field, _ = np.argwhere(bad)[0]
-        raise ValueError(
-            f"{_PULSE_FIELDS[field]} must be in [0, {_FIELD_LIMITS[field, 0]:g}], "
-            f"got {fields[bad][0]}"
-        )
     return fields, statics
 
 

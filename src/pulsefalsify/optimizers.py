@@ -7,7 +7,11 @@ Two optimizers share a common result format:
   hypercube seeds a radial-basis surrogate, candidates are drawn inside an
   axis-aligned trust region around the incumbent, and the region expands on
   streaks of improvements and shrinks on streaks of failures, restarting
-  from a fresh hypercube when it collapses.
+  from a fresh hypercube when it collapses.  As in TuRBO (Eriksson et al.,
+  NeurIPS 2019), each trust region keeps its own model: the surrogate and
+  the incumbent use only the current phase (the evaluations since the
+  latest hypercube began), while the history, the budget and the best
+  record span all phases.
 
 Both stop as soon as an evaluation goes negative; non-finite objective
 values are recorded as +inf and the search continues.
@@ -89,6 +93,8 @@ class OptimizationResult:
     stopped_early: bool
     evaluations_used: int
     restarts: int = 0
+    surrogate_fits: int = 0  # surrogate fits attempted, degenerate ones included
+    degenerate_fits: int = 0  # fits that raised SurrogateDegeneracy
 
 
 class SurrogateDegeneracy(RuntimeError):
@@ -145,14 +151,13 @@ class _Budget:
             self.negative = True
         return value
 
-    def result(self, restarts: int = 0) -> OptimizationResult:
+    def result(self) -> OptimizationResult:
         best = min(self.history, key=lambda r: (r.value, r.index))
         return OptimizationResult(
             best=best,
             history=self.history,
             stopped_early=self.negative,
             evaluations_used=self.used,
-            restarts=restarts,
         )
 
 
@@ -194,8 +199,21 @@ class RbfSurrogate:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x[:, None, :] - self.points[None, :, :], axis=2)
-        return r**3 @ self.weights + self.tail[0] + x @ self.tail[1:]
+        return _distances(x, self.points) ** 3 @ self.weights + self.tail[0] + x @ self.tail[1:]
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of x (m, dim) and y (n, dim).
+
+    The squared differences are summed one coordinate at a time into an
+    (m, n) array, so no (m, n, dim) array is built.  Up to dim 7 the sums
+    run in the order ``np.linalg.norm`` uses, and the result equals it bit
+    for bit; the diagonal of ``_distances(x, x)`` is exactly 0.
+    """
+    squared = (x[:, 0, None] - y[None, :, 0]) ** 2
+    for d in range(1, x.shape[1]):
+        squared += (x[:, d, None] - y[None, :, d]) ** 2
+    return np.sqrt(squared)
 
 
 def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
@@ -211,8 +229,7 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
         raise SurrogateDegeneracy("need at least 2 distinct points")
     if np.ptp(values) == 0.0:
         raise SurrogateDegeneracy("all objective values identical")
-    r = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    phi = r**3
+    phi = _distances(points, points) ** 3
     poly = np.hstack([np.ones((n, 1)), points])
     size = n + dim + 1
     a = np.zeros((size, size))
@@ -239,7 +256,12 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
     step.  The trust region doubles after ``success_tolerance`` consecutive
     improvements, halves after ``failure_tolerance`` consecutive failures,
     and a collapse below the minimum side restarts the search from a fresh
-    hypercube while keeping the full history.
+    hypercube.  A phase runs from one hypercube to the next collapse: the
+    surrogate is fitted on the phase's finite-valued evaluations and the
+    trust region centres on the phase's best point, so a restart forgets
+    the collapsed region.  The history, the budget and the best record of
+    the result span all phases.  The result counts the restarts, the
+    surrogate fits attempted and those that were degenerate.
     """
     config = config.resolve(dim)
     if config.budget < config.init_samples:
@@ -261,16 +283,18 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
     phase_start = init_phase()
     side = config.tr_initial
     successes = failures = 0
-    restarts = 0
+    restarts = fits = degenerate = 0
     while not tracker.exhausted:
         phase = tracker.history[phase_start:]
         incumbent = min(phase, key=lambda rec: (rec.value, rec.index))
-        points = np.stack([rec.point for rec in tracker.history])
-        values = np.array([rec.value for rec in tracker.history])
+        points = np.stack([rec.point for rec in phase])
+        values = np.array([rec.value for rec in phase])
+        fits += 1
         try:
             surrogate = fit_surrogate(points[np.isfinite(values)], values[np.isfinite(values)])
         except SurrogateDegeneracy:
             surrogate = None
+            degenerate += 1
         lo = np.clip(incumbent.point - side / 2, 0.0, 1.0)
         hi = np.clip(incumbent.point + side / 2, 0.0, 1.0)
         candidates = lo + rng.random((n_cand, dim)) * (hi - lo)
@@ -296,7 +320,8 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
             successes = failures = 0
             restarts += 1
             phase_start = init_phase()
-    return tracker.result(restarts)
+    return replace(tracker.result(), restarts=restarts, surrogate_fits=fits,
+                   degenerate_fits=degenerate)
 
 
 def minimize(objective, dim: int, config: OptimizerConfig,

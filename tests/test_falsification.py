@@ -259,6 +259,20 @@ class TestBatchedEvaluation:
         with pytest.raises(ValueError):
             decode(np.r_[-0.5, np.zeros(space.dimension - 1)], space)
 
+    def test_period_above_unit_cube_rejected_when_delay_free(self):
+        # the period coordinate spans [0, 1] here, so 1.5 would decode to a
+        # period that PulseParams' own [0, 2] limit lets through
+        space = build_param_space(builtin_benchmark("lag"), FreeMask.from_label("P-D"))
+        with pytest.raises(ValueError, match=r"u\.P"):
+            decode(np.array([1.5, 0.0]), space)
+
+    def test_static_above_unit_cube_rejected(self):
+        # x1_init would decode to 0.24, outside its native [-0.1, 0.1]
+        dsm = builtin_benchmark("dsm")
+        space = build_param_space(dsm, FreeMask.from_label("W", include_static_params=True))
+        with pytest.raises(ValueError, match="x1_init"):
+            decode(np.array([0.5, 1.7, 0.5, 0.5]), space)
+
     def test_divergent_row_scores_inf_without_touching_others(self):
         # unstable lag (negative tau): any nonzero input blows up, while a
         # pulse with low = high = 0 keeps y at exactly 0

@@ -3,6 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
+from pulsefalsify import optimizers
 from pulsefalsify.optimizers import (
     OptimizerConfig,
     SurrogateDegeneracy,
@@ -116,6 +117,93 @@ class TestFitSurrogate:
         vals = rng.normal(size=20)
         sur = fit_surrogate(pts, vals)
         np.testing.assert_allclose(sur.predict(pts), vals, atol=1e-8)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_matches_norm_of_differences(self, dim, rng):
+        x, y = rng.random((40, dim)), rng.random((30, dim))
+        expected = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+        got = optimizers._distances(x, y)
+        assert got.shape == (40, 30)
+        if dim <= 7:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 5, 12])
+    def test_self_distances(self, dim, rng):
+        x = rng.random((50, dim))
+        r = optimizers._distances(x, x)
+        assert np.all(np.diag(r) == 0.0)
+        assert np.all(r >= 0.0)
+
+
+def recorded_turbo(monkeypatch, objective, dim, budget):
+    """Run turbo_lite, recording every evaluation, the number of
+    evaluations made when each Latin hypercube was drawn (a phase start) and
+    the points and count at each surrogate fit."""
+    evaluated, phase_starts, fits = [], [], []
+    real_fit, real_lhs = optimizers.fit_surrogate, optimizers.latin_hypercube
+
+    def record_fit(points, values):
+        fits.append((len(evaluated), np.array(points), np.array(values)))
+        return real_fit(points, values)
+
+    def record_lhs(*args):
+        phase_starts.append(len(evaluated))
+        return real_lhs(*args)
+
+    def record_objective(point):
+        value = objective(point)
+        evaluated.append((np.array(point), value))
+        return value
+
+    monkeypatch.setattr(optimizers, "fit_surrogate", record_fit)
+    monkeypatch.setattr(optimizers, "latin_hypercube", record_lhs)
+    res = turbo_lite_minimize(
+        record_objective, dim, OptimizerConfig(kind="turbo_lite", budget=budget, seed=0)
+    )
+    return res, evaluated, phase_starts, fits
+
+
+def sphere_with_nan_region(p):
+    return float("nan") if p[0] > 0.9 else sphere5(p)
+
+
+class TestTurboLiteFitSet:
+    @pytest.mark.parametrize("objective", [lambda p: 1.0, sphere5, sphere_with_nan_region],
+                             ids=["constant", "sphere", "sphere_nan"])
+    def test_fit_sees_current_phase_only(self, monkeypatch, objective):
+        res, evaluated, phase_starts, fits = recorded_turbo(monkeypatch, objective, 3, 300)
+        assert res.restarts >= 1
+        assert phase_starts[0] == 0 and len(phase_starts) == res.restarts + 1
+        assert len(fits) == res.surrogate_fits > 0
+        # before the first restart every fit sees the whole history so far
+        first = [(done, points) for done, points, _ in fits if done < phase_starts[1]]
+        assert first
+        for done, points in first:
+            assert len(points) == sum(np.isfinite(v) for _, v in evaluated[:done])
+        # every fit sees exactly the finite-valued records of its own phase
+        for done, points, values in fits:
+            start = max(s for s in phase_starts if s <= done)
+            expected = [(p, v) for p, v in evaluated[start:done] if np.isfinite(v)]
+            assert len(points) == len(expected)
+            for point, (p, _) in zip(points, expected):
+                np.testing.assert_array_equal(point, p)
+            np.testing.assert_array_equal(values, [v for _, v in expected])
+
+    def test_surrogate_counts(self, monkeypatch):
+        res, _, _, fits = recorded_turbo(monkeypatch, lambda p: 1.0, 3, 200)
+        assert res.surrogate_fits == len(fits) > 0
+        assert res.degenerate_fits == res.surrogate_fits
+        res = turbo_lite_minimize(
+            sphere5, 5, OptimizerConfig(kind="turbo_lite", budget=60, seed=0)
+        )
+        assert res.surrogate_fits == 60 - 10
+        assert res.degenerate_fits == 0
+        res = random_search(sphere5, 5, OptimizerConfig(kind="random_search", budget=60))
+        assert (res.surrogate_fits, res.degenerate_fits) == (0, 0)
 
 
 class TestTurboLite:
