@@ -237,6 +237,9 @@ class FalsificationOutcome:
     best_robustness: float
     witness: Witness | None
     history: list[float]
+    restarts: int = 0
+    surrogate_fits: int = 0  # turbo_lite surrogate fits attempted, degenerate ones included
+    degenerate_fits: int = 0
 
 
 def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
@@ -307,6 +310,9 @@ def falsify(
         best_robustness=result.best.value,
         witness=witness,
         history=[rec.value for rec in result.history],
+        restarts=result.restarts,
+        surrogate_fits=result.surrogate_fits,
+        degenerate_fits=result.degenerate_fits,
     )
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "ParseError",
     "parse",
     "horizon_of",
+    "channels_of",
     "robustness",
     "robustness_batch",
     "robustness_classic",
@@ -134,21 +135,29 @@ class Until(Formula):
     right: Formula
 
 
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Not, Always, Eventually)):
+        return (f.child,)
+    if isinstance(f, (And, Or)):
+        return f.children
+    if isinstance(f, (Implies, Until)):
+        return (f.left, f.right)
+    raise TypeError(f"unknown formula node {f!r}")
+
+
 def horizon_of(f: Formula) -> float:
     """Temporal depth of the formula in seconds."""
     if isinstance(f, Atom):
         return 0.0
-    if isinstance(f, Not):
-        return horizon_of(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon_of(c) for c in f.children)
-    if isinstance(f, Implies):
-        return max(horizon_of(f.left), horizon_of(f.right))
-    if isinstance(f, (Always, Eventually)):
-        return f.b + horizon_of(f.child)
-    if isinstance(f, Until):
-        return f.b + max(horizon_of(f.left), horizon_of(f.right))
-    raise TypeError(f"unknown formula node {f!r}")
+    depth = max(horizon_of(c) for c in _operands(f))
+    return f.b + depth if isinstance(f, (Always, Eventually, Until)) else depth
+
+
+def channels_of(f: Formula) -> frozenset[str]:
+    """Names of the trace channels that the formula's atoms read."""
+    if isinstance(f, Atom):
+        return frozenset(name for name, _ in f.coeffs)
+    return frozenset().union(*map(channels_of, _operands(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,20 +408,6 @@ def _window_sum(x: np.ndarray, w: int) -> np.ndarray:
     return c[:, w:] - c[:, :-w]
 
 
-def _additive_and(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
-    if np.all(values > 0):
-        return float(values.min())
-    return float(values[values < 0].sum())
-
-
-def _additive_or(values: np.ndarray) -> float:
-    values = np.asarray(values, dtype=float)
-    if np.all(values < 0):
-        return float(values.max())
-    return float(values[values > 0].sum())
-
-
 def _combine_and(stack: np.ndarray, additive: bool) -> np.ndarray:
     if not additive:
         return stack.min(axis=0)
@@ -429,27 +424,34 @@ def _combine_or(stack: np.ndarray, additive: bool) -> np.ndarray:
     return np.where(vmax < 0, vmax, possum)
 
 
-def _until_row(left: np.ndarray, right: np.ndarray, lo: int, hi: int, n_out: int,
-               additive: bool) -> np.ndarray:
-    """Until robustness of one trace, from 1-D operand values."""
-    out = np.empty(n_out)
-    for i in range(n_out):
+def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int, additive: bool) -> np.ndarray:
+    """Until robustness from (B, m) operand values, one array pass per window
+    offset d: the candidate at d joins ``right`` at i+d with ``left`` held
+    over i..i+d, and the result is the disjunction of the candidates for d
+    in [lo, hi]."""
+    n_out = max(min(left.shape[1], right.shape[1]) - hi, 0)
+    hold = np.full((len(left), n_out), math.inf)
+    hold_negsum = np.zeros_like(hold)
+    best = np.full_like(hold, -math.inf)
+    possum = np.zeros_like(hold)
+    for d in range(hi + 1):
+        left_d = left[:, d : d + n_out]
+        hold = np.minimum(hold, left_d)
         if additive:
-            cands = []
-            for j in range(i + lo, i + hi + 1):
-                hold = _additive_and(left[i : j + 1]) if j > i else float(left[i])
-                cands.append(_additive_and(np.array([right[j], hold])))
-            out[i] = _additive_or(np.array(cands))
+            hold_negsum += np.minimum(left_d, 0.0)
+        if d < lo:
+            continue
+        right_d = right[:, d : d + n_out]
+        if additive:
+            held = np.where(hold > 0, hold, hold_negsum)
+            cand = _combine_and(np.stack([right_d, held]), True)
+            possum += np.maximum(cand, 0.0)
         else:
-            hold = math.inf
-            best = -math.inf
-            for k in range(i, i + lo):
-                hold = min(hold, left[k])
-            for j in range(i + lo, i + hi + 1):
-                hold = min(hold, left[j])
-                best = max(best, min(right[j], hold))
-            out[i] = best
-    return out
+            cand = np.minimum(right_d, hold)
+        best = np.maximum(best, cand)
+    if additive:
+        return np.where(best < 0, best, possum)
+    return best
 
 
 def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: bool) -> np.ndarray:
@@ -489,12 +491,7 @@ def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: b
     if isinstance(f, Until):
         left = _eval(f.left, channels, dt, additive)
         right = _eval(f.right, channels, dt, additive)
-        lo, hi = _interval_steps(f.a, f.b, dt)
-        n_out = max(min(left.shape[1], right.shape[1]) - hi, 0)
-        out = np.empty((len(left), n_out))
-        for row, (l, r) in enumerate(zip(left, right)):
-            out[row] = _until_row(l, r, lo, hi, n_out, additive)
-        return out
+        return _until(left, right, *_interval_steps(f.a, f.b, dt), additive)
     raise TypeError(f"unknown formula node {f!r}")
 
 

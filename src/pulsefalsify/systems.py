@@ -90,6 +90,11 @@ class Benchmark:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not (0 < self.dt <= self.horizon):
             raise ValueError(f"dt must satisfy 0 < dt <= horizon, got {self.dt}")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon {self.horizon} s is not a whole number of dt={self.dt} s steps"
+            )
         names = [n for n, _ in self.inputs]
         if len(set(names)) != len(names):
             raise ValueError("input channel names must be unique")
@@ -105,6 +110,12 @@ class Benchmark:
                 raise ValueError(
                     f"spec {spec_name!r} has horizon {stl.horizon_of(formula)} s "
                     f"exceeding the benchmark horizon {self.horizon} s"
+                )
+            unknown = stl.channels_of(formula) - set(names) - set(outputs)
+            if unknown:
+                raise ValueError(
+                    f"spec {spec_name!r} reads unknown channel(s) {sorted(unknown)}; "
+                    f"have inputs {names} and outputs {list(outputs)}"
                 )
             parsed[spec_name] = formula
         object.__setattr__(self, "specs", parsed)

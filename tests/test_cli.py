@@ -164,6 +164,12 @@ class TestValidate:
         assert "benchmark 'lag'" in out
         assert "2 spec(s) parsed" in out
 
+    def test_spec_on_unknown_channel_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lag_z.json"
+        path.write_text(json.dumps({**LAG_DOC, "specs": {"phi1": "alw[0,10](z <= 0.85)"}}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert "unknown channel" in capsys.readouterr().err
+
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}))

@@ -163,6 +163,15 @@ class TestFalsify:
         )
         assert len(outcome.history) == outcome.simulations_used == 25
 
+    def test_turbo_counters_reach_the_outcome(self):
+        bench, mask = builtin_benchmark("lag"), FreeMask.from_label("L-W")
+        turbo = falsify(bench, "phi2", mask, OptimizerConfig(kind="turbo_lite", budget=60, seed=1))
+        assert not turbo.falsified
+        assert turbo.surrogate_fits > 0
+        assert 0 <= turbo.degenerate_fits <= turbo.surrogate_fits
+        random = falsify(bench, "phi2", mask, OptimizerConfig(kind="random_search", budget=60, seed=1))
+        assert (random.restarts, random.surrogate_fits, random.degenerate_fits) == (0, 0, 0)
+
     def test_witness_reproduces_robustness_bit_exact(self):
         bench = builtin_benchmark("lag")
         outcome = falsify(

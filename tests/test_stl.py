@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,14 @@ from pulsefalsify.stl import (
     Or,
     ParseError,
     Until,
+    channels_of,
     horizon_of,
     parse,
     robustness,
     robustness_additive,
     robustness_classic,
 )
+from pulsefalsify.stl import _until
 
 
 def ramp_trace():
@@ -102,6 +106,15 @@ class TestHorizon:
 
     def test_until(self):
         assert horizon_of(parse("(alw[0,2](x>0) U[0,3] y>0)")) == 5.0
+
+
+class TestChannels:
+    def test_collects_atoms_under_every_operator(self):
+        f = parse("not a > 0 and alw[0,1](b + 2*c < 1) or (d > 0 U[0,1] ev[0,1](e > 0)) -> f > 0")
+        assert channels_of(f) == {"a", "b", "c", "d", "e", "f"}
+
+    def test_constant_atom_reads_no_channel(self):
+        assert channels_of(parse("x - x + 1 > 0")) == frozenset()
 
 
 class TestClassicRobustness:
@@ -225,3 +238,113 @@ class TestUntil:
             f = Until(0.0, hi * tr.dt, random_formula(rng, tr, 1, 0.0),
                       random_formula(rng, tr, 1, 0.0))
             assert np.sign(robustness_additive(f, tr)) == np.sign(robustness_classic(f, tr))
+
+
+def _additive_and_reference(values):
+    values = np.asarray(values, dtype=float)
+    if np.all(values > 0):
+        return float(values.min())
+    return float(values[values < 0].sum())
+
+
+def _additive_or_reference(values):
+    values = np.asarray(values, dtype=float)
+    if np.all(values < 0):
+        return float(values.max())
+    return float(values[values > 0].sum())
+
+
+def until_row_reference(left, right, lo, hi, additive):
+    """The former per-instant Until loop, on one trace's 1-D operand values;
+    the array evaluator must match it."""
+    n_out = max(min(len(left), len(right)) - hi, 0)
+    out = np.empty(n_out)
+    for i in range(n_out):
+        if additive:
+            cands = []
+            for j in range(i + lo, i + hi + 1):
+                hold = _additive_and_reference(left[i : j + 1]) if j > i else float(left[i])
+                cands.append(_additive_and_reference(np.array([right[j], hold])))
+            out[i] = _additive_or_reference(np.array(cands))
+        else:
+            hold = math.inf
+            best = -math.inf
+            for k in range(i, i + lo):
+                hold = min(hold, left[k])
+            for j in range(i + lo, i + hi + 1):
+                hold = min(hold, left[j])
+                best = max(best, min(right[j], hold))
+            out[i] = best
+    return out
+
+
+def random_operands(rng, rows, m_left, m_right):
+    # rounded to one decimal so that zero margins occur
+    left = np.round(rng.uniform(-1.0, 1.0, (rows, m_left)), 1)
+    right = np.round(rng.uniform(-1.0, 1.0, (rows, m_right)), 1)
+    return left, right
+
+
+def random_until_case(rng):
+    rows = int(rng.integers(1, 4))
+    m_left, m_right = (int(m) for m in rng.integers(1, 40, size=2))
+    hi = int(rng.integers(0, 12))
+    lo = int(rng.integers(0, hi + 1))
+    return random_operands(rng, rows, m_left, m_right) + (lo, hi)
+
+
+class TestUntilArrays:
+    """``_until`` on (B, m) operand arrays against the per-instant loop."""
+
+    def test_classic_equals_loop(self, rng):
+        for _ in range(300):
+            left, right, lo, hi = random_until_case(rng)
+            out = _until(left, right, lo, hi, False)
+            for row in range(len(left)):
+                expected = until_row_reference(left[row], right[row], lo, hi, False)
+                assert out[row].tolist() == expected.tolist()
+
+    def test_additive_matches_loop(self, rng):
+        # the hold and the disjunction are summed in a different order
+        for _ in range(300):
+            left, right, lo, hi = random_until_case(rng)
+            out = _until(left, right, lo, hi, True)
+            for row in range(len(left)):
+                expected = until_row_reference(left[row], right[row], lo, hi, True)
+                np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_rows_equal_rows_evaluated_alone(self, rng, additive):
+        left, right = random_operands(rng, 5, 60, 60)
+        out = _until(left, right, 3, 9, additive)
+        assert out.shape == (5, 51)
+        for row in range(5):
+            alone = _until(left[row : row + 1], right[row : row + 1], 3, 9, additive)
+            assert out[row].tolist() == alone[0].tolist()
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_lower_bound_above_zero(self, additive):
+        # right holds only at the instant itself, which [1, 2] skips
+        left = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        right = np.array([[9.0, -1.0, -2.0, -3.0, -4.0]])
+        out = _until(left, right, 1, 2, additive)
+        expected = until_row_reference(left[0], right[0], 1, 2, additive)
+        assert out.shape == (1, 3)
+        np.testing.assert_allclose(out[0], expected, rtol=1e-12, atol=0.0)
+        assert np.all(out < 0)
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_window_past_the_operands_leaves_no_instant(self, additive):
+        left, right = np.ones((3, 4)), np.ones((3, 6))
+        assert _until(left, right, 1, 4, additive).shape == (3, 0)
+        assert _until(left, right, 0, 9, additive).shape == (3, 0)
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_unequal_operand_lengths(self, rng, additive):
+        for m_left, m_right in ((30, 17), (17, 30)):
+            left, right = random_operands(rng, 2, m_left, m_right)
+            out = _until(left, right, 2, 5, additive)
+            assert out.shape == (2, 12)
+            for row in range(2):
+                expected = until_row_reference(left[row], right[row], 2, 5, additive)
+                np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=0.0)

@@ -234,6 +234,23 @@ class TestLoadBenchmark:
         with pytest.raises(ValueError, match="horizon"):
             load_benchmark(json.dumps(doc))
 
+    def test_spec_reading_unknown_channel_rejected(self):
+        doc = self.base_doc()
+        doc["specs"]["phi"] = "alw[0,10](z <= 0.85)"
+        with pytest.raises(ValueError, match="unknown channel.*'z'"):
+            load_benchmark(json.dumps(doc))
+
+    def test_spec_may_read_inputs_and_outputs(self):
+        doc = self.base_doc()
+        doc["specs"]["phi"] = "alw[0,10](y - u <= 1)"
+        assert set(load_benchmark(json.dumps(doc)).specs) == {"phi"}
+
+    def test_horizon_not_a_whole_number_of_steps_rejected(self):
+        doc = self.base_doc()
+        doc["dt"] = 0.3
+        with pytest.raises(ValueError, match="whole number"):
+            load_benchmark(json.dumps(doc))
+
     def test_unknown_model_kind(self):
         doc = self.base_doc()
         doc["model"]["kind"] = "quadcopter"
