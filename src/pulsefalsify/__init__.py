@@ -9,7 +9,6 @@ from .signals import (
     denormalize,
     sample_at,
     synthesize_pulse,
-    validate_period_range,
 )
 from .stl import (
     Formula,
@@ -17,8 +16,6 @@ from .stl import (
     horizon_of,
     parse,
     robustness,
-    robustness_additive,
-    robustness_classic,
 )
 from .systems import (
     Benchmark,

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--masks", default="sweep",
                          help="'sweep' for the 12 study combinations, or a comma list")
     p_sweep.add_argument("--reps", type=int, default=5, help="repetitions per cell")
-    p_sweep.add_argument("--parallel", type=int, default=1, help="worker threads")
+    p_sweep.add_argument("--parallel", type=int, default=1,
+                         help="accepted for compatibility (>= 1); cells run serially")
     p_sweep.add_argument("--out", required=True, help="output directory for the CSVs")
     _add_optimizer_args(p_sweep)
 
@@ -152,7 +153,10 @@ def _cmd_sweep(args) -> int:
     results = run_experiment(config)
     paths = write_csvs(results, args.out)
     successes = sum(1 for r in results if r.falsified)
-    print(f"{len(results)} runs, {successes} falsified")
+    errors = [r for r in results if r.error is not None]
+    for r in errors:
+        print(f"{r.benchmark}/{r.spec}/{r.mask}/{r.rep}: {r.error}", file=sys.stderr)
+    print(f"{len(results)} runs, {successes} falsified, {len(errors)} errors")
     for name in ("results", "aggregate", "coverage", "cactus"):
         print(f"wrote {paths[name]}")
     return 0

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import stl
 from .optimizers import OptimizerConfig, minimize
-from .signals import PulseParams, Signal, merge_signals, pulse_values, scale_pulse
-from .systems import Benchmark, simulate, simulate_batch
+from .signals import PulseParams, pulse_values, scale_pulse
+from .systems import Benchmark, simulate_batch
 
 __all__ = [
     "PulseParam",
@@ -32,7 +32,6 @@ __all__ = [
     "batch_objective",
     "synthesize_batch",
     "falsify",
-    "build_inputs",
     "evaluate_witness",
 ]
 
@@ -113,7 +112,6 @@ class ParamSpace:
     benchmark: Benchmark
     mask: FreeMask
     coords: tuple[Coordinate, ...]
-    fixed_defaults: PulseParams = FIXED_DEFAULTS
 
     @property
     def dimension(self) -> int:
@@ -174,7 +172,7 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
     upper = np.array([c.upper for c in space.coords])
     native = lower + points * (upper - lower)
     channels = space.benchmark.input_names
-    defaults = [getattr(space.fixed_defaults, name) for name in _PULSE_FIELDS]
+    defaults = [getattr(FIXED_DEFAULTS, name) for name in _PULSE_FIELDS]
     fields = np.empty((len(channels), len(_PULSE_FIELDS), len(points)))
     fields[:] = np.array(defaults)[:, None]
     statics: dict[str, np.ndarray] = {}
@@ -210,16 +208,6 @@ def synthesize_batch(benchmark: Benchmark, fields: np.ndarray) -> np.ndarray:
     return u.transpose(1, 0, 2)
 
 
-def build_inputs(benchmark: Benchmark, pulses: dict[str, PulseParams]) -> Signal:
-    """Synthesize the multi-channel input signal from per-channel pulses."""
-    fields = np.array(
-        [[[getattr(pulses[channel], name)] for name in _PULSE_FIELDS]
-         for channel in benchmark.input_names]
-    )
-    u = synthesize_batch(benchmark, fields)[0]
-    return Signal(times=benchmark.grid(), channels=tuple(u), channel_names=benchmark.input_names)
-
-
 @dataclass(frozen=True)
 class Witness:
     """Decoded falsifying input: pulse parameters, static values, and the
@@ -252,20 +240,27 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     alone, and of :func:`evaluate_witness` on the point's decoded input.
     """
     formula = benchmark.specs[spec_name]
-    names = benchmark.output_names + benchmark.input_names
 
     def objective(points: np.ndarray) -> np.ndarray:
-        fields, statics = decode_batch(points, space)
-        u = synthesize_batch(benchmark, fields)
-        traces = np.concatenate([simulate_batch(benchmark, u, statics), u], axis=1)
-        finite = np.all(np.isfinite(traces), axis=(1, 2))
-        values = np.full(len(traces), math.inf)
-        if np.any(finite):
-            channels = dict(zip(names, traces[finite].transpose(1, 0, 2)))
-            values[finite] = stl.robustness_batch(formula, channels, benchmark.dt, semantics)
-        return values
+        return _score(benchmark, formula, semantics, *decode_batch(points, space))
 
     return objective
+
+
+def _score(benchmark: Benchmark, formula: stl.Formula, semantics: str,
+           fields: np.ndarray, statics: dict[str, np.ndarray]) -> np.ndarray:
+    """The B robustness values of ``formula`` for decoded pulse ``fields``
+    (channels, 5, B) and static values ((B,) arrays); a row whose
+    simulation diverged scores +inf."""
+    u = synthesize_batch(benchmark, fields)
+    traces = np.concatenate([simulate_batch(benchmark, u, statics), u], axis=1)
+    finite = np.all(np.isfinite(traces), axis=(1, 2))
+    values = np.full(len(traces), math.inf)
+    if np.any(finite):
+        names = benchmark.output_names + benchmark.input_names
+        channels = dict(zip(names, traces[finite].transpose(1, 0, 2)))
+        values[finite] = stl.robustness_batch(formula, channels, benchmark.dt, semantics)
+    return values
 
 
 def falsify(
@@ -289,12 +284,6 @@ def falsify(
             f"available: {sorted(benchmark.specs)}"
         )
     space = build_param_space(benchmark, mask)
-    config = config.resolve(space.dimension)
-    if config.kind == "turbo_lite" and config.budget < 2 * space.dimension:
-        raise ValueError(
-            f"turbo_lite needs budget >= 2*dimension = {2 * space.dimension}, "
-            f"got {config.budget}"
-        )
     objective = batch_objective(benchmark, spec_name, space, semantics)
     result = minimize(
         lambda point: objective(point[None])[0], space.dimension, config, objective
@@ -322,7 +311,16 @@ def evaluate_witness(
     witness: Witness,
     semantics: str = "classic",
 ) -> float:
-    """Re-simulate a witness and re-evaluate the spec robustness."""
-    inputs = build_inputs(benchmark, witness.pulses)
-    trace = simulate(benchmark, inputs, witness.static_values)
-    return stl.robustness(benchmark.specs[spec_name], merge_signals(trace, inputs), 0.0, semantics)
+    """Re-simulate a witness and re-evaluate the spec robustness.
+
+    The witness is scored by the code that scores the search's points, as a
+    block of one, so the value equals the one the search recorded bit for
+    bit.  A witness whose simulation diverges scores +inf, as in
+    :func:`batch_objective`; no ``SimulationError`` is raised.
+    """
+    fields = np.array(
+        [[[getattr(witness.pulses[channel], name)] for name in _PULSE_FIELDS]
+         for channel in benchmark.input_names]
+    )
+    statics = {name: np.array([value]) for name, value in witness.static_values.items()}
+    return float(_score(benchmark, benchmark.specs[spec_name], semantics, fields, statics)[0])

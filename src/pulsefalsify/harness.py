@@ -2,12 +2,13 @@
 
 An experiment runs every (spec, mask, repetition) cell with a seed derived
 from the base seed and a stable hash of the cell key, so results are
-reproducible and independent of execution order and parallelism.
+reproducible and independent of execution order.  Cells run serially in
+one thread; ``ExperimentConfig.parallelism`` is accepted for compatibility
+and does not change how the cells run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import itertools
@@ -55,8 +56,7 @@ class ExperimentConfig:
     base_seed: int = 0
     optimizer: str = "turbo_lite"
     semantics: str = "classic"
-    parallelism: int = 1
-    include_static_params: bool = False
+    parallelism: int = 1  # validated (>= 1) but unused: cells run serially
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -123,7 +123,7 @@ def _cells(config: ExperimentConfig):
 def _run_cell(benchmark: Benchmark, spec: str, mask_label: str, rep: int,
               config: ExperimentConfig) -> RunRecord:
     seed = cell_seed(config.base_seed, benchmark.name, spec, mask_label, rep)
-    mask = FreeMask.from_label(mask_label, config.include_static_params)
+    mask = FreeMask.from_label(mask_label)
     opt = OptimizerConfig(kind=config.optimizer, budget=config.budget, seed=seed)
     try:
         outcome = falsify(benchmark, spec, mask, opt, config.semantics)
@@ -141,16 +141,10 @@ def _run_cell(benchmark: Benchmark, spec: str, mask_label: str, rep: int,
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Run all cells; the result list is sorted by cell key regardless of
-    the execution order."""
-    cells = list(_cells(config))
-    if config.parallelism == 1:
-        records = [_run_cell(b, s, m, r, config) for b, s, m, r in cells]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(config.parallelism) as pool:
-            records = list(
-                pool.map(lambda cell: _run_cell(*cell, config), cells)
-            )
+    """Run all cells, one after another; the result list is sorted by cell
+    key."""
+    cells = list(_cells(config))  # raises on an unknown spec before any cell runs
+    records = [_run_cell(b, s, m, r, config) for b, s, m, r in cells]
     records.sort(key=lambda rec: (rec.benchmark, rec.spec, rec.mask, rec.rep))
     return records
 

@@ -43,21 +43,13 @@ class OptimizerConfig:
     """Settings shared by both optimizer kinds.
 
     ``init_samples=None`` means "twice the dimension", resolved when the
-    search starts.  The trust-region constants follow the published TuRBO
-    defaults.
+    search starts.
     """
 
     kind: str = "turbo_lite"
     budget: int = 1000
     init_samples: int | None = None
     seed: int = 0
-    tr_initial: float = 0.8
-    tr_min: float = 2.0 ** -7
-    tr_max: float = 1.6
-    success_tolerance: int = 3
-    failure_tolerance: int | None = None  # None -> dimension
-    candidates_per_dim: int = 100
-    candidates_cap: int = 5000
 
     def __post_init__(self) -> None:
         if self.kind not in ("random_search", "turbo_lite"):
@@ -66,17 +58,23 @@ class OptimizerConfig:
             raise ValueError("budget must be >= 1")
         if self.init_samples is not None and self.init_samples < 1:
             raise ValueError("init_samples must be >= 1")
-        if not 0 < self.tr_min < self.tr_initial <= self.tr_max:
-            raise ValueError("need 0 < tr_min < tr_initial <= tr_max")
 
     def resolve(self, dim: int) -> "OptimizerConfig":
-        """Fill in dimension-dependent defaults."""
-        out = self
-        if out.init_samples is None:
-            out = replace(out, init_samples=2 * dim)
-        if out.failure_tolerance is None:
-            out = replace(out, failure_tolerance=dim)
-        return out
+        """Fill in the dimension-dependent default of ``init_samples``."""
+        if self.init_samples is None:
+            return replace(self, init_samples=2 * dim)
+        return self
+
+
+# turbo_lite's trust-region schedule and candidate count are the published
+# TuRBO defaults (Eriksson et al., NeurIPS 2019); the failure tolerance is
+# the dimension.
+_TR_INITIAL = 0.8
+_TR_MIN = 2.0 ** -7
+_TR_MAX = 1.6
+_SUCCESS_TOLERANCE = 3
+_CANDIDATES_PER_DIM = 100
+_CANDIDATES_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -253,15 +251,15 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
     """Single-trust-region surrogate minimization.
 
     Latin-hypercube initialization, then one surrogate-guided evaluation per
-    step.  The trust region doubles after ``success_tolerance`` consecutive
-    improvements, halves after ``failure_tolerance`` consecutive failures,
-    and a collapse below the minimum side restarts the search from a fresh
-    hypercube.  A phase runs from one hypercube to the next collapse: the
-    surrogate is fitted on the phase's finite-valued evaluations and the
-    trust region centres on the phase's best point, so a restart forgets
-    the collapsed region.  The history, the budget and the best record of
-    the result span all phases.  The result counts the restarts, the
-    surrogate fits attempted and those that were degenerate.
+    step.  The trust region doubles after 3 consecutive improvements, halves
+    after ``dim`` consecutive failures, and a collapse below the minimum side
+    restarts the search from a fresh hypercube.  A phase runs from one
+    hypercube to the next collapse: the surrogate is fitted on the phase's
+    finite-valued evaluations and the trust region centres on the phase's
+    best point, so a restart forgets the collapsed region.  The history, the
+    budget and the best record of the result span all phases.  The result
+    counts the restarts, the surrogate fits attempted and those that were
+    degenerate.
     """
     config = config.resolve(dim)
     if config.budget < config.init_samples:
@@ -270,7 +268,7 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
         )
     rng = np.random.default_rng(config.seed)
     tracker = _Budget(objective, config.budget)
-    n_cand = min(config.candidates_per_dim * dim, config.candidates_cap)
+    n_cand = min(_CANDIDATES_PER_DIM * dim, _CANDIDATES_CAP)
 
     def init_phase() -> int:
         start = tracker.used
@@ -281,7 +279,7 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
         return start
 
     phase_start = init_phase()
-    side = config.tr_initial
+    side = _TR_INITIAL
     successes = failures = 0
     restarts = fits = degenerate = 0
     while not tracker.exhausted:
@@ -309,14 +307,14 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
         else:
             failures += 1
             successes = 0
-        if successes >= config.success_tolerance:
-            side = min(2.0 * side, config.tr_max)
+        if successes >= _SUCCESS_TOLERANCE:
+            side = min(2.0 * side, _TR_MAX)
             successes = 0
-        if failures >= config.failure_tolerance:
+        if failures >= dim:
             side = side / 2.0
             failures = 0
-        if side < config.tr_min:
-            side = config.tr_initial
+        if side < _TR_MIN:
+            side = _TR_INITIAL
             successes = failures = 0
             restarts += 1
             phase_start = init_phase()

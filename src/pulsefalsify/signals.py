@@ -23,9 +23,7 @@ __all__ = [
     "pulse_values",
     "synthesize_pulse",
     "sample_at",
-    "validate_period_range",
     "uniform_grid",
-    "merge_signals",
 ]
 
 # Relative tolerance used when snapping the pulse phase at period/width
@@ -64,8 +62,8 @@ class PulseParams:
     """Normalized pulse-generator parameters.
 
     All parameters live in [0, 1] except ``period_n`` which may extend to
-    [0, 2]; the tighter [0, 1] bound applies when the delay parameter is a
-    free optimization variable (see :func:`validate_period_range`).
+    [0, 2]; the search space narrows the period to [0, 1] when the delay is
+    also free (see ``falsification.build_param_space``).
     """
 
     low_n: float
@@ -101,22 +99,6 @@ class PhysicalPulse:
     low: float
     high: float
     horizon: float
-
-
-def validate_period_range(params: PulseParams, delay_is_free: bool) -> str | None:
-    """Check the period/delay range coupling.
-
-    Returns ``None`` when the period is legal, otherwise a description of
-    the violation.  When the delay is a free search variable the period is
-    restricted to [0, 1]; otherwise [0, 2] is allowed.
-    """
-    limit = 1.0 if delay_is_free else 2.0
-    if params.period_n > limit:
-        return (
-            f"period_n={params.period_n} exceeds {limit} "
-            f"(delay {'free' if delay_is_free else 'fixed'})"
-        )
-    return None
 
 
 def denormalize(params: PulseParams, rng: InputRange, horizon: float) -> PhysicalPulse:
@@ -232,17 +214,6 @@ class Signal:
             return self.channels[self.channel_names.index(name)]
         except ValueError:
             raise KeyError(f"no channel named {name!r}; have {self.channel_names}")
-
-
-def merge_signals(a: Signal, b: Signal) -> Signal:
-    """Combine two signals sharing the same grid into one multi-channel signal."""
-    if len(a.times) != len(b.times) or not np.array_equal(a.times, b.times):
-        raise ValueError("signals must share an identical time grid")
-    return Signal(
-        times=a.times,
-        channels=a.channels + b.channels,
-        channel_names=a.channel_names + b.channel_names,
-    )
 
 
 def synthesize_pulse(

@@ -52,8 +52,6 @@ __all__ = [
     "channels_of",
     "robustness",
     "robustness_batch",
-    "robustness_classic",
-    "robustness_additive",
 ]
 
 _GRID_TOL = 1e-9
@@ -548,10 +546,3 @@ def robustness_batch(f: Formula, channels: Mapping[str, np.ndarray], dt: float,
     n = next(iter(channels.values())).shape[1]
     return _robustness_at(f, channels, dt, additive, 0, 0.0, (n - 1) * dt)
 
-
-def robustness_classic(f: Formula, trace: Signal, t0: float = 0.0) -> float:
-    return robustness(f, trace, t0, "classic")
-
-
-def robustness_additive(f: Formula, trace: Signal, t0: float = 0.0) -> float:
-    return robustness(f, trace, t0, "additive")

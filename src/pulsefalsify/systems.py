@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import stl
-from .signals import InputRange, Signal
+from .signals import InputRange, Signal, uniform_grid
 
 __all__ = [
     "Benchmark",
@@ -38,7 +38,29 @@ __all__ = [
     "builtin_benchmark_names",
 ]
 
-MODEL_KINDS = ("first_order_lag", "chasing_cars", "delta_sigma", "switched_system")
+# Per model kind: its outputs, its params with their defaults, and the
+# params that a static search parameter of the same name overrides.
+_MODELS: dict[str, tuple[tuple[str, ...], dict[str, float], set[str]]] = {
+    "first_order_lag": (("y",), {"K": 1.0, "tau": 1.0, "y_init": 0.0}, {"y_init"}),
+    "chasing_cars": (
+        ("y1", "y2", "y3", "y4", "y5"),
+        {"k1": 1.0, "k2": 2.0, "d0": 10.0, "accel_gain": 5.0, "brake_gain": 8.0},
+        set(),
+    ),
+    "delta_sigma": (
+        ("x1", "x2", "x3"),
+        {"b1": 0.044, "b2": 0.287, "b3": 0.8, "x1_init": 0.0, "x2_init": 0.0, "x3_init": 0.0},
+        {"x1_init", "x2_init", "x3_init"},
+    ),
+    "switched_system": (
+        ("x1", "x2"),
+        {"a1_11": -0.5, "a1_12": -1.0, "a1_21": 1.0, "a1_22": -0.5,
+         "a2_11": 0.05, "a2_12": -1.0, "a2_21": 1.0, "a2_22": 0.05,
+         "b_11": 1.0, "b_12": 0.0, "b_21": 0.0, "b_22": 1.0,
+         "thresh": 0.7, "x1_init": 0.0, "x2_init": 0.0},
+        {"thresh", "x1_init", "x2_init"},
+    ),
+}
 
 
 class SimulationError(RuntimeError):
@@ -51,12 +73,17 @@ class ModelSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        if self.kind not in _MODELS:
+            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_MODELS)}")
         object.__setattr__(self, "params", dict(self.params))
+        unknown = set(self.params) - set(_MODELS[self.kind][1])
+        if unknown:
+            raise ValueError(f"model {self.kind!r} has no param(s) {sorted(unknown)}; "
+                             f"it has {sorted(_MODELS[self.kind][1])}")
 
-    def get(self, name: str, default: float) -> float:
-        return float(self.params.get(name, default))
+    def get(self, name: str) -> float:
+        """The value of param ``name``, or the model kind's default."""
+        return float(self.params.get(name, _MODELS[self.kind][1][name]))
 
 
 @dataclass(frozen=True)
@@ -98,7 +125,11 @@ class Benchmark:
         names = [n for n, _ in self.inputs]
         if len(set(names)) != len(names):
             raise ValueError("input channel names must be unique")
-        outputs = _OUTPUT_NAMES[self.model.kind]
+        outputs, _, overridable = _MODELS[self.model.kind]
+        unread = [p.name for p in self.static_params if p.name not in overridable]
+        if unread:
+            raise ValueError(f"model {self.model.kind!r} reads no static param(s) {unread}; "
+                             f"it reads {sorted(overridable)}")
         clash = set(names) & set(outputs)
         if clash:
             raise ValueError(f"input names clash with model outputs: {sorted(clash)}")
@@ -128,22 +159,13 @@ class Benchmark:
 
     @property
     def output_names(self) -> tuple[str, ...]:
-        return _OUTPUT_NAMES[self.model.kind]
+        return _MODELS[self.model.kind][0]
 
     def grid(self) -> np.ndarray:
-        n = int(round(self.horizon / self.dt))
-        return np.arange(n + 1, dtype=float) * self.dt
+        return uniform_grid(self.horizon, self.dt)
 
     def static_defaults(self) -> dict[str, float]:
         return {p.name: p.default for p in self.static_params}
-
-
-_OUTPUT_NAMES: dict[str, tuple[str, ...]] = {
-    "first_order_lag": ("y",),
-    "chasing_cars": ("y1", "y2", "y3", "y4", "y5"),
-    "delta_sigma": ("x1", "x2", "x3"),
-    "switched_system": ("x1", "x2"),
-}
 
 
 def rk4_step(
@@ -199,10 +221,10 @@ def _time_major(u: np.ndarray) -> np.ndarray:
 
 def _lag_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
     # dy/dt = (K*u - y) / tau
-    gain = model.get("K", 1.0)
-    tau = np.asarray(model.get("tau", 1.0))
+    gain = model.get("K")
+    tau = np.asarray(model.get("tau"))
     state = np.empty((1, u.shape[0]))
-    state[0] = statics.get("y_init", model.get("y_init", 0.0))
+    state[0] = statics.get("y_init", model.get("y_init"))
 
     def deriv(state, gain_u):
         return (gain_u - state) / tau
@@ -213,10 +235,9 @@ def _lag_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[st
 def _chasing_cars_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
     # Lead car: dv1 = 5*throttle - 8*brake (velocity clamped at 0), dy1 = v1.
     # Followers i=2..5: spring-damper tracking of the predecessor at spacing d0.
-    k1, k2, d0 = (np.asarray(model.get(name, default))
-                  for name, default in (("k1", 1.0), ("k2", 2.0), ("d0", 10.0)))
-    accel = model.get("accel_gain", 5.0)
-    brake = model.get("brake_gain", 8.0)
+    k1, k2, d0 = (np.asarray(model.get(name)) for name in ("k1", "k2", "d0"))
+    accel = model.get("accel_gain")
+    brake = model.get("brake_gain")
 
     # Per step: the lead car's commanded acceleration, and the one that
     # applies while it stands still (it cannot reverse).  They agree on the
@@ -262,14 +283,14 @@ def _chasing_cars_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: M
 def _delta_sigma_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
     # Discrete integrator chain x_j += b_j * (in_j - v), v = sign(x3),
     # sign(0) = +1; one step per grid instant.
-    b = np.array([[model.get("b1", 0.044)], [model.get("b2", 0.287)], [model.get("b3", 0.8)]])
+    b = np.array([[model.get("b1")], [model.get("b2")], [model.get("b3")]])
     # Row k of ``w`` holds (input_k, x1_k, x2_k, x3_k) for every batch row.
     w = np.empty((u.shape[2], 4, u.shape[0]))
     w[:, 0] = u[:, 0].T
     for j, name in enumerate(("x1_init", "x2_init", "x3_init"), start=1):
         # + 0.0 turns -0.0 into 0.0; a sum is -0.0 only if both terms are,
         # so x3 is never -0.0 below and copysign gives sign(0) = +1.
-        w[0, j] = statics.get(name, model.get(name, 0.0)) + 0.0
+        w[0, j] = statics.get(name, model.get(name)) + 0.0
     one = np.asarray(1.0)
     for prev, row in zip(w[:-1], w[1:]):
         row[1:] = prev[1:] + b * (prev[:3] - np.copysign(one, prev[3]))
@@ -279,17 +300,14 @@ def _delta_sigma_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Ma
 def _switched_system_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
     # dx = A1 x + B u while |x1| < gamma, else A2 x + B u.  A1 is a stable
     # spiral, A2 a slowly expanding one.
-    a1 = np.array([[model.get("a1_11", -0.5), model.get("a1_12", -1.0)],
-                   [model.get("a1_21", 1.0), model.get("a1_22", -0.5)]])
-    a2 = np.array([[model.get("a2_11", 0.05), model.get("a2_12", -1.0)],
-                   [model.get("a2_21", 1.0), model.get("a2_22", 0.05)]])
-    bmat = np.array([[model.get("b_11", 1.0), model.get("b_12", 0.0)],
-                     [model.get("b_21", 0.0), model.get("b_22", 1.0)]])
+    a1, a2, bmat = (np.array([[model.get(f"{m}_11"), model.get(f"{m}_12")],
+                              [model.get(f"{m}_21"), model.get(f"{m}_22")]])
+                    for m in ("a1", "a2", "b"))
     rows = u.shape[0]
-    gammas = np.broadcast_to(statics.get("thresh", model.get("thresh", 0.7)), (rows,))
+    gammas = np.broadcast_to(statics.get("thresh", model.get("thresh")), (rows,))
     x0 = np.empty((rows, 2))
-    x0[:, 0] = statics.get("x1_init", model.get("x1_init", 0.0))
-    x0[:, 1] = statics.get("x2_init", model.get("x2_init", 0.0))
+    x0[:, 0] = statics.get("x1_init", model.get("x1_init"))
+    x0[:, 1] = statics.get("x2_init", model.get("x2_init"))
     # Rows are integrated one at a time: the 1-D ``a @ state`` products are
     # not reproduced bit for bit by any batched matrix product.
     out = np.empty((rows, 2, u.shape[2]))

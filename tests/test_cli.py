@@ -115,6 +115,21 @@ class TestSweep:
         text = capsys.readouterr().out
         assert "4 runs" in text
 
+    def test_errored_cells_are_counted_and_reported(self, lag_file, tmp_path, capsys):
+        # turbo_lite needs 2*dim = 10 hypercube points on a 5-D mask, so
+        # every cell raises at a budget of 3
+        code = main([
+            "sweep", "--benchmark", lag_file, "--masks", "L-P-W-H-D", "--reps", "1",
+            "--optimizer", "turbo", "--budget", "3", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "2 runs, 0 falsified, 2 errors" in captured.out
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "lag/phi1/L-P-W-H-D/0", "lag/phi2/L-P-W-H-D/0"]
+        assert all("ValueError" in line for line in lines)
+
     def test_parallel_matches_serial(self, lag_file, tmp_path):
         args = [
             "sweep", "--benchmark", lag_file, "--spec", "phi1",
@@ -169,6 +184,13 @@ class TestValidate:
         path.write_text(json.dumps({**LAG_DOC, "specs": {"phi1": "alw[0,10](z <= 0.85)"}}))
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert "unknown channel" in capsys.readouterr().err
+
+    def test_misspelt_model_param_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lag_tua.json"
+        path.write_text(json.dumps({**LAG_DOC, "model": {"kind": "first_order_lag",
+                                                         "params": {"tua": 1.0}}}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert "'tua'" in capsys.readouterr().err
 
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

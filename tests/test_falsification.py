@@ -10,15 +10,17 @@ from pulsefalsify.falsification import (
     FIXED_DEFAULTS,
     FreeMask,
     PulseParam,
+    Witness,
     batch_objective,
-    build_inputs,
     build_param_space,
     decode,
+    decode_batch,
     evaluate_witness,
     falsify,
+    synthesize_batch,
 )
 from pulsefalsify.optimizers import _RANDOM_SEARCH_BLOCKS, OptimizerConfig
-from pulsefalsify.signals import merge_signals
+from pulsefalsify.signals import Signal, synthesize_pulse
 from pulsefalsify.systems import (
     SimulationError,
     builtin_benchmark,
@@ -31,12 +33,18 @@ from pulsefalsify.systems import (
 def reference_value(bench, spec, space, point, semantics="classic"):
     """Robustness of one point through the scalar, Signal-based API."""
     pulses, statics = decode(point, space)
-    inputs = build_inputs(bench, pulses)
+    channels = tuple(
+        synthesize_pulse(pulses[name], rng_, bench.horizon, bench.dt).channels[0]
+        for name, rng_ in bench.inputs
+    )
+    inputs = Signal(bench.grid(), channels, bench.input_names)
     try:
         trace = simulate(bench, inputs, statics)
     except SimulationError:
         return math.inf
-    return stl.robustness(bench.specs[spec], merge_signals(trace, inputs), 0.0, semantics)
+    merged = Signal(trace.times, trace.channels + inputs.channels,
+                    trace.channel_names + inputs.channel_names)
+    return stl.robustness(bench.specs[spec], merged, 0.0, semantics)
 
 
 class TestFreeMask:
@@ -224,16 +232,16 @@ class TestFalsify:
             assert set(outcome.witness.static_values) == {"x1_init", "x2_init", "x3_init"}
 
 
-class TestBuildInputs:
+class TestSynthesizeBatch:
     def test_channels_and_grid(self):
         bench = builtin_benchmark("cc")
         space = build_param_space(bench, FreeMask.from_label("W"))
-        pulses, _ = decode(np.array([0.3, 0.8]), space)
-        sig = build_inputs(bench, pulses)
-        assert sig.channel_names == ("throttle", "brake")
-        assert len(sig.times) == len(bench.grid())
-        for name, rng_ in bench.inputs:
-            v = sig.channel(name)
+        fields, _ = decode_batch(np.array([[0.3, 0.8]]), space)
+        u = synthesize_batch(bench, fields)
+        # channels come in input order
+        assert bench.input_names == ("throttle", "brake")
+        assert u.shape == (1, 2, len(bench.grid()))
+        for v, (name, rng_) in zip(u[0], bench.inputs):
             assert v.min() >= rng_.lower and v.max() <= rng_.upper
 
 
@@ -300,6 +308,9 @@ class TestBatchedEvaluation:
         for point, value in zip(points, values):
             assert objective(point[None])[0] == value
             assert reference_value(bench, "phi", space, point) == value
+            # replay scores a diverging witness +inf, as the search does
+            pulses, statics = decode(point, space)
+            assert evaluate_witness(bench, "phi", Witness(point, pulses, statics)) == value
 
 
 def block_ends(budget):

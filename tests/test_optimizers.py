@@ -233,6 +233,18 @@ class TestTurboLite:
         assert not res.stopped_early
         assert res.evaluations_used == 200
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_trust_region_schedule_on_constant_objective(self, dim):
+        # No step improves on a constant, so each phase is 2*dim hypercube
+        # points then 7*dim failures: the side 0.8 halves every dim
+        # failures and falls below 2**-7 on the seventh halving.
+        for budget in (9 * dim - 1, 9 * dim, 9 * dim + 1, 40 * dim, 100):
+            res = turbo_lite_minimize(
+                lambda p: 1.0, dim, OptimizerConfig(kind="turbo_lite", budget=budget, seed=0)
+            )
+            assert res.evaluations_used == budget
+            assert res.restarts == budget // (9 * dim)
+
     def test_negative_init_sample_stops_immediately(self):
         res = turbo_lite_minimize(
             lambda p: -1.0, 4, OptimizerConfig(kind="turbo_lite", budget=100, seed=0)
@@ -244,7 +256,6 @@ class TestTurboLite:
         for dim in (1, 3, 7):
             cfg = OptimizerConfig(kind="turbo_lite", budget=1000).resolve(dim)
             assert cfg.init_samples == 2 * dim
-            assert cfg.failure_tolerance == dim
 
     def test_init_phase_is_latin_hypercube(self):
         dim = 3
@@ -301,5 +312,3 @@ class TestResultInvariants:
             OptimizerConfig(kind="cma_es")
         with pytest.raises(ValueError):
             OptimizerConfig(budget=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(tr_min=0.9)

@@ -8,7 +8,6 @@ from pulsefalsify.signals import (
     denormalize,
     sample_at,
     synthesize_pulse,
-    validate_period_range,
 )
 
 
@@ -145,20 +144,6 @@ class TestSampleAt:
     def test_beyond_horizon(self):
         with pytest.raises(ValueError):
             sample_at(self.make(), 1.5)
-
-
-class TestValidatePeriodRange:
-    def test_violation_when_delay_free(self):
-        p = PulseParams(low_n=0.0, period_n=1.5, width_n=0.5, high_n=1.0, delay_n=0.0)
-        assert validate_period_range(p, delay_is_free=True) is not None
-
-    def test_ok_when_delay_fixed(self):
-        p = PulseParams(low_n=0.0, period_n=1.5, width_n=0.5, high_n=1.0, delay_n=0.0)
-        assert validate_period_range(p, delay_is_free=False) is None
-
-    def test_inside_both_ranges(self):
-        p = PulseParams(low_n=0.0, period_n=0.5, width_n=0.5, high_n=1.0, delay_n=0.0)
-        assert validate_period_range(p, delay_is_free=True) is None
 
 
 class TestSignalInvariants:

@@ -19,8 +19,6 @@ from pulsefalsify.stl import (
     horizon_of,
     parse,
     robustness,
-    robustness_additive,
-    robustness_classic,
 )
 from pulsefalsify.stl import _until
 
@@ -119,42 +117,45 @@ class TestChannels:
 
 class TestClassicRobustness:
     def test_always_on_ramp(self):
-        assert robustness_classic(parse("alw[0,1](y < 0.5)"), ramp_trace()) == pytest.approx(-0.5)
+        rho = robustness(parse("alw[0,1](y < 0.5)"), ramp_trace(), 0.0, "classic")
+        assert rho == pytest.approx(-0.5)
 
     def test_eventually_on_ramp(self):
-        assert robustness_classic(parse("ev[0,1](y > 0.5)"), ramp_trace()) == pytest.approx(0.5)
+        rho = robustness(parse("ev[0,1](y > 0.5)"), ramp_trace(), 0.0, "classic")
+        assert rho == pytest.approx(0.5)
 
     def test_zero_margin_boundary(self):
         tr = ramp_trace()
-        assert robustness_classic(parse("y > 0"), tr, 0.0) == 0.0
+        assert robustness(parse("y > 0"), tr, 0.0, "classic") == 0.0
 
     def test_trace_too_short(self):
         with pytest.raises(ValueError):
-            robustness_classic(parse("alw[0,2](y < 1)"), ramp_trace())
+            robustness(parse("alw[0,2](y < 1)"), ramp_trace(), 0.0, "classic")
 
     def test_t0_shifts_evaluation(self):
         tr = ramp_trace()
-        assert robustness_classic(parse("y > 0"), tr, 0.5) == pytest.approx(0.5)
+        assert robustness(parse("y > 0"), tr, 0.5, "classic") == pytest.approx(0.5)
 
     def test_negation_duality(self, rng):
         for _ in range(50):
             tr = random_trace(rng, 60)
             f = random_formula(rng, tr, 2, tr.end_time)
-            assert robustness_classic(Not(f), tr) == pytest.approx(
-                -robustness_classic(f, tr), abs=1e-12
+            assert robustness(Not(f), tr, 0.0, "classic") == pytest.approx(
+                -robustness(f, tr, 0.0, "classic"), abs=1e-12
             )
 
     def test_atom_monotonicity(self):
         tr = ramp_trace()
         shifted = Signal(tr.times, (tr.channels[0] + 0.25,), ("y",))
         f = parse("y > 0.1")
-        assert robustness_classic(f, shifted) - robustness_classic(f, tr) == pytest.approx(0.25)
+        assert robustness(f, shifted, 0.0, "classic") - robustness(
+            f, tr, 0.0, "classic") == pytest.approx(0.25)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(150):
             tr = random_trace(rng, 100)
             f = random_formula(rng, tr, 3, tr.end_time)
-            assert robustness_classic(f, tr) == pytest.approx(
+            assert robustness(f, tr, 0.0, "classic") == pytest.approx(
                 brute_robustness(f, tr, 0), abs=1e-9
             )
 
@@ -163,7 +164,7 @@ class TestClassicRobustness:
         for _ in range(150):
             tr = random_trace(rng, 80)
             f = random_formula(rng, tr, 3, tr.end_time)
-            rho = robustness_classic(f, tr)
+            rho = robustness(f, tr, 0.0, "classic")
             if abs(rho) < 1e-12:
                 continue
             assert (rho > 0) == boolean_eval(f, tr, 0)
@@ -176,38 +177,38 @@ class TestAdditiveRobustness:
         t = np.array([0.0, 1.0])
         tr = Signal(t, (np.array([-1.0, -1.0]), np.array([-2.0, -2.0])), ("a", "b"))
         f = And((parse("a > 0"), parse("b > 0")))
-        assert robustness_additive(f, tr) == pytest.approx(-3.0)
+        assert robustness(f, tr, 0.0, "additive") == pytest.approx(-3.0)
 
     def test_and_all_positive_is_min(self):
         t = np.array([0.0, 1.0])
         tr = Signal(t, (np.array([1.0, 1.0]), np.array([2.0, 2.0])), ("a", "b"))
         f = And((parse("a > 0"), parse("b > 0")))
-        assert robustness_additive(f, tr) == pytest.approx(1.0)
+        assert robustness(f, tr, 0.0, "additive") == pytest.approx(1.0)
 
     def test_or_all_negative_is_max(self):
         t = np.array([0.0, 1.0])
         tr = Signal(t, (np.array([-1.0, -1.0]), np.array([-2.0, -2.0])), ("a", "b"))
         f = Or((parse("a > 0"), parse("b > 0")))
-        assert robustness_additive(f, tr) == pytest.approx(-1.0)
+        assert robustness(f, tr, 0.0, "additive") == pytest.approx(-1.0)
 
     def test_always_sums_violations(self):
         # y(t) = t - 0.25 is negative at t in {0, 0.1, 0.2}: sum -0.45
         tr = ramp_trace()
         f = parse("alw[0,1](y > 0.25)")
-        assert robustness_additive(f, tr) == pytest.approx(-0.25 - 0.15 - 0.05)
+        assert robustness(f, tr, 0.0, "additive") == pytest.approx(-0.25 - 0.15 - 0.05)
 
     def test_eventually_sums_satisfactions(self):
         tr = ramp_trace()
         f = parse("ev[0,1](y > 0.75)")
         # positive margins at t in {0.8, 0.9, 1.0}: 0.05 + 0.15 + 0.25
-        assert robustness_additive(f, tr) == pytest.approx(0.45)
+        assert robustness(f, tr, 0.0, "additive") == pytest.approx(0.45)
 
     def test_sign_agrees_with_classic(self, rng):
         for _ in range(150):
             tr = random_trace(rng, 80)
             f = random_formula(rng, tr, 3, tr.end_time)
-            classic = robustness_classic(f, tr)
-            additive = robustness_additive(f, tr)
+            classic = robustness(f, tr, 0.0, "classic")
+            additive = robustness(f, tr, 0.0, "additive")
             assert np.sign(classic) == np.sign(additive)
 
     def test_unknown_semantics_rejected(self):
@@ -227,7 +228,7 @@ class TestUntil:
                 random_formula(rng, tr, 1, 0.0),
                 random_formula(rng, tr, 1, 0.0),
             )
-            assert robustness_classic(f, tr) == pytest.approx(
+            assert robustness(f, tr, 0.0, "classic") == pytest.approx(
                 brute_robustness(f, tr, 0), abs=1e-9
             )
 
@@ -237,7 +238,8 @@ class TestUntil:
             hi = int(rng.integers(1, 8))
             f = Until(0.0, hi * tr.dt, random_formula(rng, tr, 1, 0.0),
                       random_formula(rng, tr, 1, 0.0))
-            assert np.sign(robustness_additive(f, tr)) == np.sign(robustness_classic(f, tr))
+            assert np.sign(robustness(f, tr, 0.0, "additive")) == np.sign(
+                robustness(f, tr, 0.0, "classic"))
 
 
 def _additive_and_reference(values):

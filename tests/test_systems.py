@@ -251,6 +251,20 @@ class TestLoadBenchmark:
         with pytest.raises(ValueError, match="whole number"):
             load_benchmark(json.dumps(doc))
 
+    def test_misspelt_model_param_rejected(self):
+        doc = self.base_doc()
+        doc["model"]["params"] = {"K": 1.0, "tua": 2.0}
+        with pytest.raises(ValueError, match="'tua'"):
+            load_benchmark(json.dumps(doc))
+
+    def test_static_param_the_model_does_not_read_rejected(self):
+        doc = self.base_doc()
+        doc["static_params"] = [{"name": "y_int", "min": -1.0, "max": 1.0, "default": 0.0}]
+        with pytest.raises(ValueError, match="'y_int'"):
+            load_benchmark(json.dumps(doc))
+        doc["static_params"][0]["name"] = "y_init"
+        assert load_benchmark(json.dumps(doc)).static_params[0].name == "y_init"
+
     def test_unknown_model_kind(self):
         doc = self.base_doc()
         doc["model"]["kind"] = "quadcopter"
@@ -279,8 +293,9 @@ def loop_reference(model, u, dt, statics):
     on one (channels, n) input trace; the batched models must match them
     bit for bit."""
     n = u.shape[1]
+    get = model.params.get  # the reference keeps its own defaults
     if model.kind == "first_order_lag":
-        gain, tau = model.get("K", 1.0), model.get("tau", 1.0)
+        gain, tau = get("K", 1.0), get("tau", 1.0)
         state, out = np.array([statics.get("y_init", 0.0)]), np.empty((1, n))
         out[:, 0] = state
         for k in range(n - 1):
@@ -288,8 +303,8 @@ def loop_reference(model, u, dt, statics):
             out[:, k + 1] = state
         return out
     if model.kind == "chasing_cars":
-        k1, k2, d0 = model.get("k1", 1.0), model.get("k2", 2.0), model.get("d0", 10.0)
-        accel, brake = model.get("accel_gain", 5.0), model.get("brake_gain", 8.0)
+        k1, k2, d0 = get("k1", 1.0), get("k2", 2.0), get("d0", 10.0)
+        accel, brake = get("accel_gain", 5.0), get("brake_gain", 8.0)
 
         def deriv(state, inp):
             y, v, d = state[0::2], state[1::2], np.empty_like(state)
@@ -311,7 +326,7 @@ def loop_reference(model, u, dt, statics):
             out[:, k + 1] = state[0::2]
         return out
     assert model.kind == "delta_sigma"
-    b = np.array([model.get("b1", 0.044), model.get("b2", 0.287), model.get("b3", 0.8)])
+    b = np.array([get("b1", 0.044), get("b2", 0.287), get("b3", 0.8)])
     x = np.array([statics.get(f"x{j}_init", 0.0) for j in (1, 2, 3)])
     out = np.empty((3, n))
     out[:, 0] = x
