@@ -7,7 +7,6 @@ from .signals import (
     PulseParams,
     Signal,
     denormalize,
-    sample_at,
     synthesize_pulse,
 )
 from .stl import (

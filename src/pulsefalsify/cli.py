@@ -34,8 +34,10 @@ _OPTIMIZER_NAMES = {"random": "random_search", "random_search": "random_search",
 def _load_trace_csv(path: str) -> Signal:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"trace file {path} has no samples")
     if "time" not in header:
         raise ValueError(f"trace file {path} needs a 'time' column")
     data = np.array(rows)

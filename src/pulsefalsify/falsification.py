@@ -274,9 +274,9 @@ def falsify(
 
     Each objective evaluation performs exactly one simulation; the loop
     stops at the first negative robustness or when the budget runs out.
-    Random search simulates its points in blocks; any simulated after the
-    first negative robustness are discarded, so ``simulations_used`` and
-    ``history`` are those of the point-by-point search.
+    Both optimizers simulate their points in blocks; any simulated after
+    the first negative robustness are discarded, so ``simulations_used``
+    and ``history`` are those of the point-by-point search.
     """
     if spec_name not in benchmark.specs:
         raise KeyError(
@@ -285,9 +285,7 @@ def falsify(
         )
     space = build_param_space(benchmark, mask)
     objective = batch_objective(benchmark, spec_name, space, semantics)
-    result = minimize(
-        lambda point: objective(point[None])[0], space.dimension, config, objective
-    )
+    result = minimize(None, space.dimension, config, objective)
     falsified = result.best.value < 0
     witness = None
     if falsified:

@@ -14,12 +14,14 @@ Two optimizers share a common result format:
   record span all phases.
 
 Both stop as soon as an evaluation goes negative; non-finite objective
-values are recorded as +inf and the search continues.
+values are recorded as +inf and the search continues.  Both score their
+points in blocks of 1, 2, 4, ..., 64, 64, ... rows and record them in order
+up to the first negative value; every point of a block is drawn before the
+block is scored, so blocks never change a result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -110,10 +112,15 @@ def latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 class _Budget:
-    """Evaluation bookkeeping with stop-on-negative."""
+    """Evaluation bookkeeping with stop-on-negative: the one place that
+    scores points.  Without ``batch_objective`` the scalar ``objective`` is
+    mapped over each block lazily, so it is never called past the first
+    negative value."""
 
-    def __init__(self, objective, budget: int):
-        self.objective = objective
+    def __init__(self, objective, budget: int, batch_objective=None):
+        if batch_objective is None:
+            batch_objective = lambda points: map(objective, points)
+        self.batch_objective = batch_objective
         self.budget = budget
         self.history: list[EvalRecord] = []
         self.negative = False
@@ -126,28 +133,28 @@ class _Budget:
     def exhausted(self) -> bool:
         return self.negative or self.used >= self.budget
 
-    def evaluate(self, point: np.ndarray) -> float:
-        point = np.array(point, dtype=float)
-        return self._record(point, self.objective(point))
+    @property
+    def block(self) -> int:
+        """Rows in the next scored block.  The blocks double, so the work
+        spent past the first negative value never exceeds the work before
+        it until the size stops at 64."""
+        return min(self.used + 1, 64, self.budget - self.used)
 
-    def evaluate_block(self, points: np.ndarray, batch_objective) -> None:
-        """Evaluate a block of points at once but record them in order, up
-        to the first negative value or the end of the budget; the values of
-        any later points are discarded."""
-        points = np.array(points[: self.budget - self.used], dtype=float)
-        for point, value in zip(points, batch_objective(points)):
-            self._record(point, value)
-            if self.negative:
-                break
-
-    def _record(self, point: np.ndarray, value) -> float:
-        value = float(value)
-        if not math.isfinite(value):
-            value = math.inf
-        self.history.append(EvalRecord(point=point, value=value, index=self.used + 1))
-        if value < 0:
-            self.negative = True
-        return value
+    def evaluate(self, points: np.ndarray) -> None:
+        """Score (k, dim) points in blocks and record them in order, up to
+        the first negative value or the end of the budget; the values of any
+        later points are discarded."""
+        points = np.array(points, dtype=float)
+        start = 0
+        while start < len(points) and not self.exhausted:
+            chunk = points[start:start + self.block]
+            start += len(chunk)
+            for point, value in zip(chunk, self.batch_objective(chunk)):
+                value = float(value) if math.isfinite(value) else math.inf
+                self.history.append(EvalRecord(point=point, value=value, index=self.used + 1))
+                if value < 0:
+                    self.negative = True
+                    break
 
     def result(self) -> OptimizationResult:
         best = min(self.history, key=lambda r: (r.value, r.index))
@@ -159,31 +166,20 @@ class _Budget:
         )
 
 
-# Block sizes random search draws and evaluates with a batch objective: the
-# blocks double, so the work spent past the first negative value never
-# exceeds the work before it, until the last size repeats.
-_RANDOM_SEARCH_BLOCKS = (1, 2, 4, 8, 16, 32, 64)
-
-
 def random_search(objective, dim: int, config: OptimizerConfig,
                   batch_objective=None) -> OptimizationResult:
     """Uniform random sampling until the objective goes negative or the
     budget runs out.
 
     ``batch_objective``, when given, maps a (B, dim) block of points onto
-    their B objective values.  All points come from one seeded stream, so
-    evaluating them in blocks yields the same result as evaluating
+    their B objective values, and ``objective`` may then be None.  All
+    points come from one seeded stream, so the result is that of scoring
     ``objective`` point by point.
     """
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(objective, config.budget)
-    if batch_objective is None:
-        sizes = itertools.repeat(1)
-        batch_objective = lambda points: [objective(points[0])]
-    else:
-        sizes = itertools.chain(_RANDOM_SEARCH_BLOCKS, itertools.repeat(_RANDOM_SEARCH_BLOCKS[-1]))
+    tracker = _Budget(objective, config.budget, batch_objective)
     while not tracker.exhausted:
-        tracker.evaluate_block(rng.random((next(sizes), dim)), batch_objective)
+        tracker.evaluate(rng.random((tracker.block, dim)))
     return tracker.result()
 
 
@@ -247,7 +243,8 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
     raise SurrogateDegeneracy("surrogate system is singular")
 
 
-def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> OptimizationResult:
+def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
+                        batch_objective=None) -> OptimizationResult:
     """Single-trust-region surrogate minimization.
 
     Latin-hypercube initialization, then one surrogate-guided evaluation per
@@ -259,7 +256,9 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
     best point, so a restart forgets the collapsed region.  The history, the
     budget and the best record of the result span all phases.  The result
     counts the restarts, the surrogate fits attempted and those that were
-    degenerate.
+    degenerate.  Each hypercube is scored in blocks and each pick as a block
+    of one; ``batch_objective`` and ``objective`` are as in
+    :func:`random_search`.
     """
     config = config.resolve(dim)
     if config.budget < config.init_samples:
@@ -267,18 +266,10 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
             f"budget {config.budget} smaller than init_samples {config.init_samples}"
         )
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(objective, config.budget)
+    tracker = _Budget(objective, config.budget, batch_objective)
     n_cand = min(_CANDIDATES_PER_DIM * dim, _CANDIDATES_CAP)
-
-    def init_phase() -> int:
-        start = tracker.used
-        for point in latin_hypercube(config.init_samples, dim, rng):
-            if tracker.exhausted:
-                break
-            tracker.evaluate(point)
-        return start
-
-    phase_start = init_phase()
+    phase_start = 0
+    tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
     side = _TR_INITIAL
     successes = failures = 0
     restarts = fits = degenerate = 0
@@ -300,8 +291,8 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
             pick = candidates[int(np.argmin(surrogate.predict(candidates)))]
         else:
             pick = candidates[0]
-        value = tracker.evaluate(pick)
-        if value < incumbent.value:
+        tracker.evaluate(pick[None])
+        if tracker.history[-1].value < incumbent.value:
             successes += 1
             failures = 0
         else:
@@ -317,15 +308,16 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
             side = _TR_INITIAL
             successes = failures = 0
             restarts += 1
-            phase_start = init_phase()
+            phase_start = tracker.used
+            tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
     return replace(tracker.result(), restarts=restarts, surrogate_fits=fits,
                    degenerate_fits=degenerate)
 
 
 def minimize(objective, dim: int, config: OptimizerConfig,
              batch_objective=None) -> OptimizationResult:
-    """Dispatch on ``config.kind``.  Only random search uses
-    ``batch_objective`` (see :func:`random_search`)."""
-    if config.kind == "random_search":
-        return random_search(objective, dim, config, batch_objective)
-    return turbo_lite_minimize(objective, dim, config)
+    """Dispatch on ``config.kind``.  Both optimizers score their points in
+    blocks, through ``batch_objective`` when it is given, and blocks never
+    change the result (see :func:`random_search`)."""
+    search = random_search if config.kind == "random_search" else turbo_lite_minimize
+    return search(objective, dim, config, batch_objective)

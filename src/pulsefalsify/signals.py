@@ -22,7 +22,6 @@ __all__ = [
     "scale_pulse",
     "pulse_values",
     "synthesize_pulse",
-    "sample_at",
     "uniform_grid",
 ]
 
@@ -51,10 +50,6 @@ class InputRange:
             raise ValueError(
                 f"input range requires lower < upper, got [{self.lower}, {self.upper}]"
             )
-
-    @property
-    def span(self) -> float:
-        return self.upper - self.lower
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ class PhysicalPulse:
     delay: float
     low: float
     high: float
-    horizon: float
 
 
 def denormalize(params: PulseParams, rng: InputRange, horizon: float) -> PhysicalPulse:
@@ -111,13 +105,10 @@ def denormalize(params: PulseParams, rng: InputRange, horizon: float) -> Physica
     _require_finite("horizon", horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    period, width, delay, low, high = scale_pulse(
+    return PhysicalPulse(*scale_pulse(
         params.low_n, params.period_n, params.width_n, params.high_n, params.delay_n,
         rng.lower, rng.upper, horizon,
-    )
-    return PhysicalPulse(
-        period=period, width=width, delay=delay, low=low, high=high, horizon=horizon
-    )
+    ))
 
 
 def scale_pulse(low_n, period_n, width_n, high_n, delay_n, lower, upper, horizon):
@@ -230,11 +221,3 @@ def synthesize_pulse(
         pulse.period, pulse.width, pulse.delay, pulse.low, pulse.high, horizon, times
     )
     return Signal(times=times, channels=(values,), channel_names=(name,))
-
-
-def sample_at(signal: Signal, t: float) -> tuple[float, ...]:
-    """Zero-order-hold sample of every channel at time ``t``."""
-    if not (0.0 <= t <= signal.end_time):
-        raise ValueError(f"t={t} outside signal domain [0, {signal.end_time}]")
-    idx = int(np.searchsorted(signal.times, t, side="right")) - 1
-    return tuple(float(c[idx]) for c in signal.channels)

@@ -125,6 +125,9 @@ class Benchmark:
         names = [n for n, _ in self.inputs]
         if len(set(names)) != len(names):
             raise ValueError("input channel names must be unique")
+        statics = [p.name for p in self.static_params]
+        if len(set(statics)) != len(statics):
+            raise ValueError(f"static param names must be unique, got {statics}")
         outputs, _, overridable = _MODELS[self.model.kind]
         unread = [p.name for p in self.static_params if p.name not in overridable]
         if unread:
@@ -397,8 +400,16 @@ _TOP_KEYS = {"name", "horizon", "dt", "inputs", "model", "specs", "static_params
 _REQUIRED_KEYS = {"name", "horizon", "dt", "inputs", "model", "specs"}
 
 
+def _expect(value, kind: type, where: str):
+    """``value`` if it is a ``kind`` (dict or list), else a ValueError naming ``where``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, "
+                         f"got {value!r}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+    unknown = set(_expect(obj, dict, where)) - allowed
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     missing = required - set(obj)
@@ -412,18 +423,17 @@ def load_benchmark(document: str) -> Benchmark:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(f"benchmark config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("benchmark config must be a JSON object")
     _check_keys(doc, _TOP_KEYS, _REQUIRED_KEYS, "benchmark config")
     inputs = []
-    for entry in doc["inputs"]:
+    for entry in _expect(doc["inputs"], list, "benchmark config: 'inputs'"):
         _check_keys(entry, {"name", "min", "max"}, {"name", "min", "max"}, "input entry")
         inputs.append((str(entry["name"]), InputRange(float(entry["min"]), float(entry["max"]))))
     model_doc = doc["model"]
     _check_keys(model_doc, {"kind", "params"}, {"kind"}, "model")
-    model = ModelSpec(kind=model_doc["kind"], params=model_doc.get("params", {}))
+    params = _expect(model_doc.get("params", {}), dict, "model: 'params'")
+    model = ModelSpec(kind=model_doc["kind"], params=params)
     statics = []
-    for entry in doc.get("static_params", []):
+    for entry in _expect(doc.get("static_params", []), list, "benchmark config: 'static_params'"):
         _check_keys(
             entry,
             {"name", "min", "max", "default"},

@@ -171,6 +171,16 @@ class TestMonitor:
         code = main(["monitor", "--spec", "y > 0", "--trace", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["", "time,x\n"])
+    def test_trace_without_samples_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        code = main(["monitor", "--spec", "x > 0", "--trace", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err and "has no samples" in err
+
 
 class TestValidate:
     def test_good_benchmark(self, lag_file, capsys):
@@ -191,6 +201,17 @@ class TestValidate:
                                                          "params": {"tua": 1.0}}}))
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert "'tua'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, section", [
+        ({"inputs": 5}, "'inputs'"),
+        ({"model": {"kind": "first_order_lag", "params": [1]}}, "model"),
+        ({"static_params": [3]}, "static param entry"),
+    ])
+    def test_badly_shaped_section_exits_2(self, tmp_path, capsys, change, section):
+        path = tmp_path / "lag_shape.json"
+        path.write_text(json.dumps({**LAG_DOC, **change}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert section in capsys.readouterr().err
 
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -1,11 +1,10 @@
-import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from pulsefalsify import stl
+from pulsefalsify import falsification, stl
 from pulsefalsify.falsification import (
     FIXED_DEFAULTS,
     FreeMask,
@@ -19,7 +18,7 @@ from pulsefalsify.falsification import (
     falsify,
     synthesize_batch,
 )
-from pulsefalsify.optimizers import _RANDOM_SEARCH_BLOCKS, OptimizerConfig
+from pulsefalsify.optimizers import OptimizerConfig, turbo_lite_minimize
 from pulsefalsify.signals import Signal, synthesize_pulse
 from pulsefalsify.systems import (
     SimulationError,
@@ -314,9 +313,13 @@ class TestBatchedEvaluation:
 
 
 def block_ends(budget):
-    sizes = itertools.chain(_RANDOM_SEARCH_BLOCKS, itertools.repeat(_RANDOM_SEARCH_BLOCKS[-1]))
-    ends = itertools.accumulate(sizes)
-    return set(itertools.takewhile(lambda end: end < budget, ends))
+    """Where the scored blocks end short of the budget: a block holds
+    min(used + 1, 64, budget - used) rows."""
+    ends, used = set(), 0
+    while used < budget:
+        used += min(used + 1, 64, budget - used)
+        ends.add(used)
+    return ends - {budget}
 
 
 class TestBlockedRandomSearch:
@@ -359,3 +362,75 @@ class TestBlockedRandomSearch:
         outcome = self.check("cc", "phi1", "L-W", config, "additive")
         assert not outcome.falsified
         assert outcome.simulations_used == 45
+
+
+class TestBlockedTurbo:
+    """turbo_lite scores each Latin hypercube in blocks and each pick as a
+    block of one; the outcome must be that of scoring the points one at a
+    time."""
+
+    def check(self, monkeypatch, bench_name, spec, mask_label, config):
+        bench = builtin_benchmark(bench_name)
+        mask = FreeMask.from_label(mask_label)
+        space = build_param_space(bench, mask)
+        sizes = []
+        factory = falsification.batch_objective
+
+        def recording_factory(*args, **kwargs):
+            objective = factory(*args, **kwargs)
+
+            def recorded(points):
+                sizes.append(len(points))
+                return objective(points)
+
+            return recorded
+
+        monkeypatch.setattr(falsification, "batch_objective", recording_factory)
+        outcome = falsify(bench, spec, mask, config)
+        result = turbo_lite_minimize(
+            lambda point: reference_value(bench, spec, space, point), space.dimension, config
+        )
+        assert outcome.history == [rec.value for rec in result.history]
+        assert outcome.simulations_used == result.evaluations_used
+        assert outcome.best_robustness == result.best.value
+        assert outcome.restarts == result.restarts
+        if outcome.falsified:
+            np.testing.assert_array_equal(outcome.witness.point, result.best.point)
+        return outcome, sizes
+
+    @pytest.mark.parametrize("bench_name, spec, seed, sizes", [
+        ("lag", "phi1", 0, [1, 2, 4]),
+        ("cc", "phi2", 1, [1, 2, 4]),
+        ("dsm", "phi1", 5, [1, 2, 4, 3]),
+        ("ss", "phi1", 0, [1, 2, 4]),
+    ])
+    def test_first_negative_inside_a_hypercube_block(self, monkeypatch, bench_name, spec,
+                                                     seed, sizes):
+        config = OptimizerConfig(kind="turbo_lite", budget=40, seed=seed)
+        outcome, recorded = self.check(monkeypatch, bench_name, spec, "L-P-W-H-D", config)
+        assert recorded == sizes
+        # the negative row is not the last of its block, so the block's
+        # later rows were simulated and discarded
+        assert outcome.falsified
+        assert sum(sizes[:-1]) < outcome.simulations_used < sum(sizes)
+
+    @pytest.mark.parametrize("bench_name, spec, mask",
+                             [("lag", "phi2", "P-W"), ("cc", "phi1", "W")])
+    def test_budget_cuts_a_restart_hypercube(self, monkeypatch, bench_name, spec, mask):
+        # dim 2: a hypercube of 4 rows, then 15 picks until the trust region
+        # collapses; the second hypercube starts at 18 and the budget of 20
+        # leaves room for only 2 of its rows
+        config = OptimizerConfig(kind="turbo_lite", budget=20, seed=0)
+        outcome, sizes = self.check(monkeypatch, bench_name, spec, mask, config)
+        assert sizes == [1, 2] + [1] * 15 + [2]
+        assert outcome.restarts == 1
+        assert not outcome.falsified
+        assert outcome.simulations_used == 20
+
+    def test_first_hypercube_blocks_double(self, monkeypatch):
+        # dim 10: a hypercube of 20 rows in blocks of 1, 2, 4, 8 and the
+        # remaining 5, then one block per pick
+        config = OptimizerConfig(kind="turbo_lite", budget=24, seed=0)
+        outcome, sizes = self.check(monkeypatch, "cc", "phi1", "L-P-W-H-D", config)
+        assert sizes == [1, 2, 4, 8, 5, 1, 1, 1, 1]
+        assert outcome.simulations_used == 24

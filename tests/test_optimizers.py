@@ -307,6 +307,20 @@ class TestResultInvariants:
         for rec in res.history:
             assert np.all((0 <= rec.point) & (rec.point <= 1))
 
+    @pytest.mark.parametrize("kind", ["random_search", "turbo_lite"])
+    def test_scalar_objective_not_called_past_first_negative(self, kind):
+        # call 5 is the second row of the block of 4 that holds calls 4-7,
+        # and the fifth of turbo's 10-point hypercube at dim 5
+        calls = []
+
+        def objective(p):
+            calls.append(1)
+            return -1.0 if len(calls) == 5 else 1.0
+
+        res = minimize(objective, 5, OptimizerConfig(kind=kind, budget=40, seed=0))
+        assert res.stopped_early
+        assert res.evaluations_used == len(calls) == 5
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(kind="cma_es")

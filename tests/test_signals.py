@@ -6,7 +6,6 @@ from pulsefalsify.signals import (
     PulseParams,
     Signal,
     denormalize,
-    sample_at,
     synthesize_pulse,
 )
 
@@ -125,25 +124,6 @@ class TestSynthesizePulse:
             lo, hi = -3.0, 4.0
             phys = denormalize(params, InputRange(lo, hi), 5.0)
             assert phys.low <= phys.high + 1e-12
-
-
-class TestSampleAt:
-    def make(self):
-        return Signal(
-            times=np.array([0.0, 0.5, 1.0]),
-            channels=(np.array([0.0, 1.0, 1.0]),),
-            channel_names=("x",),
-        )
-
-    def test_zero_order_hold(self):
-        assert sample_at(self.make(), 0.6) == (1.0,)
-
-    def test_at_origin(self):
-        assert sample_at(self.make(), 0.0) == (0.0,)
-
-    def test_beyond_horizon(self):
-        with pytest.raises(ValueError):
-            sample_at(self.make(), 1.5)
 
 
 class TestSignalInvariants:

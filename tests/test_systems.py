@@ -265,6 +265,31 @@ class TestLoadBenchmark:
         doc["static_params"][0]["name"] = "y_init"
         assert load_benchmark(json.dumps(doc)).static_params[0].name == "y_init"
 
+    def test_inputs_not_a_list_rejected(self):
+        doc = self.base_doc()
+        doc["inputs"] = 5
+        with pytest.raises(ValueError, match="'inputs' must be a JSON array"):
+            load_benchmark(json.dumps(doc))
+
+    def test_model_params_not_an_object_rejected(self):
+        doc = self.base_doc()
+        doc["model"]["params"] = [1]
+        with pytest.raises(ValueError, match="model: 'params' must be a JSON object"):
+            load_benchmark(json.dumps(doc))
+
+    def test_static_param_entry_not_an_object_rejected(self):
+        doc = self.base_doc()
+        doc["static_params"] = [3]
+        with pytest.raises(ValueError, match="static param entry must be a JSON object"):
+            load_benchmark(json.dumps(doc))
+
+    def test_duplicate_static_param_rejected(self):
+        doc = self.base_doc()
+        entry = {"name": "y_init", "min": -1.0, "max": 1.0, "default": 0.0}
+        doc["static_params"] = [entry, {**entry, "max": 0.5}]
+        with pytest.raises(ValueError, match="static param names must be unique"):
+            load_benchmark(json.dumps(doc))
+
     def test_unknown_model_kind(self):
         doc = self.base_doc()
         doc["model"]["kind"] = "quadcopter"
