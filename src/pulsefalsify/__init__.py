@@ -24,7 +24,6 @@ from .systems import (
     builtin_benchmark_names,
     load_benchmark,
     load_benchmark_file,
-    rk4_step,
     simulate,
 )
 from .optimizers import (

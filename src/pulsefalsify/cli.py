@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -117,13 +118,7 @@ def _cmd_run(args) -> int:
                 "mask": mask.label,
                 "robustness": outcome.best_robustness,
                 "point": [float(v) for v in outcome.witness.point],
-                "pulses": {
-                    ch: {
-                        "low_n": p.low_n, "period_n": p.period_n, "width_n": p.width_n,
-                        "high_n": p.high_n, "delay_n": p.delay_n,
-                    }
-                    for ch, p in outcome.witness.pulses.items()
-                },
+                "pulses": {ch: dataclasses.asdict(p) for ch, p in outcome.witness.pulses.items()},
                 "static_values": outcome.witness.static_values,
             }
             with open(args.witness_out, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ the fixed defaults (low=0, period=0.5, width=0.5, high=1, delay=0).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -46,13 +47,7 @@ class PulseParam(enum.Enum):
     DELAY = "D"
 
 
-_CANONICAL_ORDER = (
-    PulseParam.LOW,
-    PulseParam.PERIOD,
-    PulseParam.WIDTH,
-    PulseParam.HIGH,
-    PulseParam.DELAY,
-)
+_CANONICAL_ORDER = tuple(PulseParam)
 
 FIXED_DEFAULTS = PulseParams(low_n=0.0, period_n=0.5, width_n=0.5, high_n=1.0, delay_n=0.0)
 
@@ -145,7 +140,7 @@ def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
 
 
 # PulseParams fields in L-P-W-H-D order.
-_PULSE_FIELDS = ("low_n", "period_n", "width_n", "high_n", "delay_n")
+_PULSE_FIELDS = tuple(f.name for f in dataclasses.fields(PulseParams))
 
 
 def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .falsification import FreeMask, falsify
+from .falsification import FreeMask, PulseParam, falsify
 from .optimizers import OptimizerConfig
 from .systems import Benchmark
 
@@ -43,7 +43,7 @@ SWEEP_MASK_LABELS = (
     "L-P-W", "L-P-W-H", "L-P-W-D", "L-P-W-H-D",
 )
 
-_PARAM_LETTERS = ("L", "P", "W", "H", "D")
+_PARAM_LETTERS = tuple(p.value for p in PulseParam)
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,10 @@ class ExperimentConfig:
             raise ValueError("mask list must be non-empty")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        for label in self.mask_labels:
-            FreeMask.from_label(label)
+        labels = tuple(FreeMask.from_label(label).label for label in self.mask_labels)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"mask list names one mask twice: {list(self.mask_labels)}")
+        object.__setattr__(self, "mask_labels", labels)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,9 +85,9 @@ class PulseParams:
             raise ValueError(f"period_n must be in [0, 2], got {self.period_n}")
 
 
-@dataclass(frozen=True)
-class PhysicalPulse:
-    """Denormalized pulse description in physical units and seconds."""
+class PhysicalPulse(NamedTuple):
+    """Denormalized pulse description in physical units and seconds: floats,
+    or equally shaped arrays describing many pulses."""
 
     period: float
     width: float
@@ -105,24 +106,20 @@ def denormalize(params: PulseParams, rng: InputRange, horizon: float) -> Physica
     _require_finite("horizon", horizon)
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    return PhysicalPulse(*scale_pulse(
-        params.low_n, params.period_n, params.width_n, params.high_n, params.delay_n,
-        rng.lower, rng.upper, horizon,
-    ))
+    return scale_pulse(params.low_n, params.period_n, params.width_n, params.high_n,
+                       params.delay_n, rng.lower, rng.upper, horizon)
 
 
-def scale_pulse(low_n, period_n, width_n, high_n, delay_n, lower, upper, horizon):
-    """The arithmetic of :func:`denormalize` on floats or on arrays of pulses
-    (``lower`` and ``upper`` broadcast against them).
-
-    Returns ``(period, width, delay, low, high)``.
-    """
+def scale_pulse(low_n, period_n, width_n, high_n, delay_n, lower, upper,
+                horizon) -> PhysicalPulse:
+    """The arithmetic of :func:`denormalize`, without its checks, on floats
+    or on arrays of pulses (``lower`` and ``upper`` broadcast against them)."""
     period = period_n * horizon
     width = width_n * period
     delay = delay_n * horizon
     low = lower + low_n * (upper - lower)
     high = low + high_n * (upper - low)
-    return period, width, delay, low, high
+    return PhysicalPulse(period, width, delay, low, high)
 
 
 def uniform_grid(horizon: float, dt: float) -> np.ndarray:

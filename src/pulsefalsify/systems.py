@@ -2,10 +2,10 @@
 
 A benchmark bundles input channel ranges, the time grid, a model, STL
 specifications, and optional static search parameters (e.g. initial
-conditions).  Simulation is deterministic: continuous-time models are
-integrated with fixed-step classical RK4 at the trace resolution, with
-inputs held constant over each step; the delta-sigma modulator is iterated
-as a discrete map with one step per grid instant.
+conditions).  Simulation is deterministic: every model is a step function
+that one loop, ``_march``, iterates over the grid, one classical RK4 step
+per grid interval with the inputs held over it (the delta-sigma modulator is
+a discrete map with one step per grid instant).
 
 The shipped models are desk-scale substitutes for the proprietary ARCH
 suite: a first-order lag, a five-car platoon, a third-order delta-sigma
@@ -15,9 +15,10 @@ modulator, and a threshold-switched linear system.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -31,40 +32,25 @@ __all__ = [
     "SimulationError",
     "simulate",
     "simulate_batch",
-    "rk4_step",
     "load_benchmark",
     "load_benchmark_file",
     "builtin_benchmark",
     "builtin_benchmark_names",
 ]
 
-# Per model kind: its outputs, its params with their defaults, and the
-# params that a static search parameter of the same name overrides.
-_MODELS: dict[str, tuple[tuple[str, ...], dict[str, float], set[str]]] = {
-    "first_order_lag": (("y",), {"K": 1.0, "tau": 1.0, "y_init": 0.0}, {"y_init"}),
-    "chasing_cars": (
-        ("y1", "y2", "y3", "y4", "y5"),
-        {"k1": 1.0, "k2": 2.0, "d0": 10.0, "accel_gain": 5.0, "brake_gain": 8.0},
-        set(),
-    ),
-    "delta_sigma": (
-        ("x1", "x2", "x3"),
-        {"b1": 0.044, "b2": 0.287, "b3": 0.8, "x1_init": 0.0, "x2_init": 0.0, "x3_init": 0.0},
-        {"x1_init", "x2_init", "x3_init"},
-    ),
-    "switched_system": (
-        ("x1", "x2"),
-        {"a1_11": -0.5, "a1_12": -1.0, "a1_21": 1.0, "a1_22": -0.5,
-         "a2_11": 0.05, "a2_12": -1.0, "a2_21": 1.0, "a2_22": 0.05,
-         "b_11": 1.0, "b_12": 0.0, "b_21": 0.0, "b_22": 1.0,
-         "thresh": 0.7, "x1_init": 0.0, "x2_init": 0.0},
-        {"thresh", "x1_init", "x2_init"},
-    ),
-}
-
-
 class SimulationError(RuntimeError):
     """Simulation failed (e.g. the state became non-finite)."""
+
+
+def _finite(value, where: str) -> float:
+    """``value`` as a finite float, else a ValueError naming ``where``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -75,15 +61,13 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_MODELS)}")
-        object.__setattr__(self, "params", dict(self.params))
         unknown = set(self.params) - set(_MODELS[self.kind][1])
         if unknown:
             raise ValueError(f"model {self.kind!r} has no param(s) {sorted(unknown)}; "
                              f"it has {sorted(_MODELS[self.kind][1])}")
-
-    def get(self, name: str) -> float:
-        """The value of param ``name``, or the model kind's default."""
-        return float(self.params.get(name, _MODELS[self.kind][1][name]))
+        object.__setattr__(self, "params", {
+            name: _finite(value, f"model param {name!r}") for name, value in self.params.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -128,11 +112,15 @@ class Benchmark:
         statics = [p.name for p in self.static_params]
         if len(set(statics)) != len(statics):
             raise ValueError(f"static param names must be unique, got {statics}")
-        outputs, _, overridable = _MODELS[self.model.kind]
+        outputs, _, overridable, _ = _MODELS[self.model.kind]
         unread = [p.name for p in self.static_params if p.name not in overridable]
         if unread:
             raise ValueError(f"model {self.model.kind!r} reads no static param(s) {unread}; "
                              f"it reads {sorted(overridable)}")
+        for p in self.static_params:
+            if self.model.params.get(p.name, p.default) != p.default:
+                raise ValueError(f"static param {p.name!r} has default {p.default}, but model "
+                                 f"param {p.name!r} is {self.model.params[p.name]}")
         clash = set(names) & set(outputs)
         if clash:
             raise ValueError(f"input names clash with model outputs: {sorted(clash)}")
@@ -167,54 +155,44 @@ class Benchmark:
     def grid(self) -> np.ndarray:
         return uniform_grid(self.horizon, self.dt)
 
-    def static_defaults(self) -> dict[str, float]:
-        return {p.name: p.default for p in self.static_params}
-
-
-def rk4_step(
-    derivative: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    state: np.ndarray,
-    inp: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One classical 4th-order Runge-Kutta step with the input held constant."""
-    return _rk4(derivative, state, inp, *_rk4_weights(dt))
-
-
-def _rk4_weights(dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # 0-d arrays: numpy combines them with small arrays faster than floats.
-    return np.asarray(0.5 * dt), np.asarray(dt), np.asarray(dt / 6.0)
-
-
-def _rk4(derivative, state, inp, half, full, sixth):
-    k1 = derivative(state, inp)
-    k2 = derivative(state + half * k1, inp)
-    k3 = derivative(state + half * k2, inp)
-    k4 = derivative(state + full * k3, inp)
-    # k + k is exactly 2.0 * k, and cheaper.
-    return state + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-
 
 # ---------------------------------------------------------------------------
 # Model dynamics
 #
-# Each model maps a batch of input traces u of shape (B, channels, n) and
-# per-row static values (arrays of shape (B,)) onto outputs of shape
-# (B, outputs, n).  Rows never mix, so row b is exactly the simulation of
-# input b alone.  Internally states are (S, B) and traces time-major, which
-# keeps the per-step indexing cheap.
+# Each model ``(p, u, dt)`` maps input traces u of shape (B, channels, n)
+# onto outputs of shape (B, outputs, n), as a step function that ``_march``
+# iterates.  It reads params only as ``p[name]``: a float, or a (B,) array
+# for a static search parameter.  Rows never mix, so row b is exactly the
+# simulation of input b alone.  States are (S, B) and traces time-major,
+# which keeps the per-step indexing cheap.
 
 
-def _rk4_trajectory(deriv, state: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
-    """Integrate from ``state`` with ``inputs[k]`` held over step k; returns
-    the ``len(inputs)`` states stacked along a leading time axis."""
-    weights = _rk4_weights(dt)
-    out = np.empty((len(inputs),) + state.shape)
+def _march(step, state: np.ndarray, n: int) -> np.ndarray:
+    """x_0 = ``state`` and x_{k+1} = ``step(k, x_k)`` for k < n - 1, stacked
+    along a leading time axis."""
+    out = np.empty((n,) + state.shape)
     out[0] = state
-    for k in range(len(inputs) - 1):
-        state = _rk4(deriv, state, inputs[k], *weights)
+    for k in range(n - 1):
+        state = step(k, state)
         out[k + 1] = state
     return out
+
+
+def _rk4(deriv, dt: float):
+    """The classical 4th-order Runge-Kutta step ``step(state, inp)`` of
+    ``deriv(state, inp)`` over ``dt``, with the input held constant."""
+    # 0-d arrays: numpy combines them with small arrays faster than floats.
+    half, full, sixth = np.asarray(0.5 * dt), np.asarray(dt), np.asarray(dt / 6.0)
+
+    def step(state, inp):
+        k1 = deriv(state, inp)
+        k2 = deriv(state + half * k1, inp)
+        k3 = deriv(state + half * k2, inp)
+        k4 = deriv(state + full * k3, inp)
+        # k + k is exactly 2.0 * k, and cheaper.
+        return state + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+    return step
 
 
 def _time_major(u: np.ndarray) -> np.ndarray:
@@ -222,113 +200,131 @@ def _time_major(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u.transpose(2, 1, 0))
 
 
-def _lag_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
+def _lag(p, u: np.ndarray, dt: float) -> np.ndarray:
     # dy/dt = (K*u - y) / tau
-    gain = model.get("K")
-    tau = np.asarray(model.get("tau"))
+    tau = np.asarray(p["tau"])
+    rk4 = _rk4(lambda y, gain_u: (gain_u - y) / tau, dt)
+    gain_u = _time_major(p["K"] * u)
     state = np.empty((1, u.shape[0]))
-    state[0] = statics.get("y_init", model.get("y_init"))
-
-    def deriv(state, gain_u):
-        return (gain_u - state) / tau
-
-    return _rk4_trajectory(deriv, state, _time_major(gain * u), dt).transpose(2, 1, 0)
+    state[0] = p["y_init"]
+    return _march(lambda k, y: rk4(y, gain_u[k]), state, len(gain_u)).transpose(2, 1, 0)
 
 
-def _chasing_cars_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
+def _chasing_cars(p, u: np.ndarray, dt: float) -> np.ndarray:
     # Lead car: dv1 = 5*throttle - 8*brake (velocity clamped at 0), dy1 = v1.
     # Followers i=2..5: spring-damper tracking of the predecessor at spacing d0.
-    k1, k2, d0 = (np.asarray(model.get(name)) for name in ("k1", "k2", "d0"))
-    accel = model.get("accel_gain")
-    brake = model.get("brake_gain")
+    k1, k2, d0 = (np.asarray(p[name]) for name in ("k1", "k2", "d0"))
 
     # Per step: the lead car's commanded acceleration, and the one that
     # applies while it stands still (it cannot reverse).  They agree on the
     # rows that do not brake.
-    command = _time_major(accel * u[:, :1] - brake * u[:, 1:2])[:, 0]
+    command = _time_major(p["accel_gain"] * u[:, :1] - p["brake_gain"] * u[:, 1:2])[:, 0]
     no_brake = ~(command < 0.0)
     resting = np.where(no_brake, command, 0.0)
+    none_brake = no_brake.all(axis=1).tolist()
 
     def deriv(state, lead):
+        # ``standing`` is None when no row needs the per-row choice.
         moving, standing = lead
         d = np.empty_like(state)
         d[:5] = state[5:]
-        d[5] = moving if standing is moving else np.where(state[5] <= 0.0, standing, moving)
+        d[5] = moving if standing is None else np.where(state[5] <= 0.0, standing, moving)
         d[6:] = k1 * (state[:4] - state[1:5] - d0) - k2 * state[6:]
         return d
+
+    rk4 = _rk4(deriv, dt)
+
+    def step(k, state):
+        # The lead velocity v1 is never negative at a step's start.  A row
+        # that does not brake keeps v1 from falling, and a row at rest that
+        # brakes stays at exactly v1 = 0; when every row is one of the two,
+        # no stage needs the per-row choice and no velocity needs clamping.
+        if none_brake[k]:
+            return rk4(state, (command[k], None))
+        if np.all(no_brake[k] | (state[5] <= 0.0)):
+            return rk4(state, (resting[k], None))
+        state = rk4(state, (command[k], resting[k]))
+        state[5] = np.where(state[5] < 0.0, 0.0, state[5])
+        return state
 
     # State layout: (y1..y5, v1..v5); defaults put the cars at equilibrium
     # spacing d0 and at rest.
     state = np.zeros((10, u.shape[0]))
     state[:5] = (np.array([4.0, 3.0, 2.0, 1.0, 0.0]) * d0)[:, None]
-    weights = _rk4_weights(dt)
-    out = np.empty((len(command),) + state.shape)
-    out[0] = state
-    for k, none_brake in enumerate(no_brake.all(axis=1)[:-1].tolist()):
-        # The lead velocity v1 is never negative at a step's start.  A row
-        # that does not brake keeps v1 from falling, and a row at rest that
-        # brakes stays at exactly v1 = 0; when every row is one of the two,
-        # no stage needs the per-row choice and no velocity needs clamping.
-        moving, standing = command[k], resting[k]
-        if none_brake:
-            lead = (moving, moving)
-        elif np.all(no_brake[k] | (state[5] <= 0.0)):
-            lead = (standing, standing)
-        else:
-            lead = (moving, standing)
-        state = _rk4(deriv, state, lead, *weights)
-        if lead[0] is not lead[1]:
-            state[5] = np.where(state[5] < 0.0, 0.0, state[5])
-        out[k + 1] = state
-    return out[:, :5].transpose(2, 1, 0)
+    return _march(step, state, len(command))[:, :5].transpose(2, 1, 0)
 
 
-def _delta_sigma_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
+def _delta_sigma(p, u: np.ndarray, dt: float) -> np.ndarray:
     # Discrete integrator chain x_j += b_j * (in_j - v), v = sign(x3),
     # sign(0) = +1; one step per grid instant.
-    b = np.array([[model.get("b1")], [model.get("b2")], [model.get("b3")]])
-    # Row k of ``w`` holds (input_k, x1_k, x2_k, x3_k) for every batch row.
-    w = np.empty((u.shape[2], 4, u.shape[0]))
-    w[:, 0] = u[:, 0].T
-    for j, name in enumerate(("x1_init", "x2_init", "x3_init"), start=1):
+    b = np.array([[p["b1"]], [p["b2"]], [p["b3"]]])
+    inputs = np.ascontiguousarray(u[:, 0].T)
+    work = np.empty((3, u.shape[0]))  # (u_k, x1_k, x2_k) for every batch row
+    one = np.asarray(1.0)
+
+    def step(k, x):
+        work[0] = inputs[k]
+        work[1:] = x[:2]
+        return x + b * (work - np.copysign(one, x[2]))
+
+    state = np.empty((3, u.shape[0]))
+    for j, name in enumerate(("x1_init", "x2_init", "x3_init")):
         # + 0.0 turns -0.0 into 0.0; a sum is -0.0 only if both terms are,
         # so x3 is never -0.0 below and copysign gives sign(0) = +1.
-        w[0, j] = statics.get(name, model.get(name)) + 0.0
-    one = np.asarray(1.0)
-    for prev, row in zip(w[:-1], w[1:]):
-        row[1:] = prev[1:] + b * (prev[:3] - np.copysign(one, prev[3]))
-    return w[:, 1:].transpose(2, 1, 0)
+        state[j] = p[name] + 0.0
+    return _march(step, state, len(inputs)).transpose(2, 1, 0)
 
 
-def _switched_system_outputs(model: ModelSpec, u: np.ndarray, dt: float, statics: Mapping[str, np.ndarray]):
+def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
     # dx = A1 x + B u while |x1| < gamma, else A2 x + B u.  A1 is a stable
     # spiral, A2 a slowly expanding one.
-    a1, a2, bmat = (np.array([[model.get(f"{m}_11"), model.get(f"{m}_12")],
-                              [model.get(f"{m}_21"), model.get(f"{m}_22")]])
+    a1, a2, bmat = (np.array([[p[f"{m}_11"], p[f"{m}_12"]], [p[f"{m}_21"], p[f"{m}_22"]]])
                     for m in ("a1", "a2", "b"))
+
+    def deriv(x, held):
+        inp, gamma = held
+        return (a1 if abs(x[0]) < gamma else a2) @ x + bmat @ inp
+
+    rk4 = _rk4(deriv, dt)
     rows = u.shape[0]
-    gammas = np.broadcast_to(statics.get("thresh", model.get("thresh")), (rows,))
     x0 = np.empty((rows, 2))
-    x0[:, 0] = statics.get("x1_init", model.get("x1_init"))
-    x0[:, 1] = statics.get("x2_init", model.get("x2_init"))
+    x0[:, 0] = p["x1_init"]
+    x0[:, 1] = p["x2_init"]
     # Rows are integrated one at a time: the 1-D ``a @ state`` products are
     # not reproduced bit for bit by any batched matrix product.
     out = np.empty((rows, 2, u.shape[2]))
-    for row, gamma in enumerate(gammas):
-
-        def deriv(state, inp, gamma=gamma):
-            a = a1 if abs(state[0]) < gamma else a2
-            return a @ state + bmat @ inp
-
-        out[row] = _rk4_trajectory(deriv, x0[row], u[row].T, dt).T
+    for row, gamma in enumerate(np.broadcast_to(p["thresh"], (rows,))):
+        inputs = u[row].T
+        out[row] = _march(lambda k, x: rk4(x, (inputs[k], gamma)), x0[row], len(inputs)).T
     return out
 
 
-_MODEL_FNS = {
-    "first_order_lag": _lag_outputs,
-    "chasing_cars": _chasing_cars_outputs,
-    "delta_sigma": _delta_sigma_outputs,
-    "switched_system": _switched_system_outputs,
+# Per model kind: its outputs, its params with their defaults, the params
+# that a static search parameter of the same name overrides, and its
+# dynamics.
+_MODELS = {
+    "first_order_lag": (("y",), {"K": 1.0, "tau": 1.0, "y_init": 0.0}, {"y_init"}, _lag),
+    "chasing_cars": (
+        ("y1", "y2", "y3", "y4", "y5"),
+        {"k1": 1.0, "k2": 2.0, "d0": 10.0, "accel_gain": 5.0, "brake_gain": 8.0},
+        set(),
+        _chasing_cars,
+    ),
+    "delta_sigma": (
+        ("x1", "x2", "x3"),
+        {"b1": 0.044, "b2": 0.287, "b3": 0.8, "x1_init": 0.0, "x2_init": 0.0, "x3_init": 0.0},
+        {"x1_init", "x2_init", "x3_init"},
+        _delta_sigma,
+    ),
+    "switched_system": (
+        ("x1", "x2"),
+        {"a1_11": -0.5, "a1_12": -1.0, "a1_21": 1.0, "a1_22": -0.5,
+         "a2_11": 0.05, "a2_12": -1.0, "a2_21": 1.0, "a2_22": 0.05,
+         "b_11": 1.0, "b_12": 0.0, "b_21": 0.0, "b_22": 1.0,
+         "thresh": 0.7, "x1_init": 0.0, "x2_init": 0.0},
+        {"thresh", "x1_init", "x2_init"},
+        _switched_system,
+    ),
 }
 
 
@@ -348,21 +344,24 @@ def simulate_batch(
     declared ranges.
     """
     rows = u.shape[0]
-    statics = {p.name: np.full(rows, p.default) for p in benchmark.static_params}
-    declared = {p.name: p for p in benchmark.static_params}
+    _, defaults, _, dynamics = _MODELS[benchmark.model.kind]
+    declared = {s.name: s for s in benchmark.static_params}
+    # The params view; each source overrides the ones before it.
+    p = {**defaults, **benchmark.model.params,
+         **{name: np.full(rows, s.default) for name, s in declared.items()}}
     for name, values in (static_values or {}).items():
         if name not in declared:
             raise ValueError(f"unknown static parameter {name!r}")
-        p = declared[name]
+        s = declared[name]
         values = np.asarray(values, dtype=float)
-        bad = ~((p.lower <= values) & (values <= p.upper))
+        bad = ~((s.lower <= values) & (values <= s.upper))
         if np.any(bad):
             raise ValueError(
-                f"static parameter {name!r}={values[bad][0]} outside [{p.lower}, {p.upper}]"
+                f"static parameter {name!r}={values[bad][0]} outside [{s.lower}, {s.upper}]"
             )
-        statics[name] = values
+        p[name] = values
     with np.errstate(all="ignore"):
-        return _MODEL_FNS[benchmark.model.kind](benchmark.model, u, benchmark.dt, statics)
+        return dynamics(p, u, benchmark.dt)
 
 
 def simulate(
@@ -427,7 +426,9 @@ def load_benchmark(document: str) -> Benchmark:
     inputs = []
     for entry in _expect(doc["inputs"], list, "benchmark config: 'inputs'"):
         _check_keys(entry, {"name", "min", "max"}, {"name", "min", "max"}, "input entry")
-        inputs.append((str(entry["name"]), InputRange(float(entry["min"]), float(entry["max"]))))
+        name = str(entry["name"])
+        inputs.append((name, InputRange(_finite(entry["min"], f"input {name!r} 'min'"),
+                                        _finite(entry["max"], f"input {name!r} 'max'"))))
     model_doc = doc["model"]
     _check_keys(model_doc, {"kind", "params"}, {"kind"}, "model")
     params = _expect(model_doc.get("params", {}), dict, "model: 'params'")
@@ -440,21 +441,16 @@ def load_benchmark(document: str) -> Benchmark:
             {"name", "min", "max", "default"},
             "static param entry",
         )
-        statics.append(
-            StaticParam(
-                name=str(entry["name"]),
-                lower=float(entry["min"]),
-                upper=float(entry["max"]),
-                default=float(entry["default"]),
-            )
-        )
+        name = str(entry["name"])
+        statics.append(StaticParam(name, *(_finite(entry[key], f"static param {name!r} {key!r}")
+                                           for key in ("min", "max", "default"))))
     if not isinstance(doc["specs"], dict) or not doc["specs"]:
         raise ValueError("benchmark config: 'specs' must be a non-empty object")
     return Benchmark(
         name=str(doc["name"]),
         inputs=tuple(inputs),
-        horizon=float(doc["horizon"]),
-        dt=float(doc["dt"]),
+        horizon=_finite(doc["horizon"], "benchmark config: 'horizon'"),
+        dt=_finite(doc["dt"], "benchmark config: 'dt'"),
         model=model,
         spec_texts={str(k): str(v) for k, v in doc["specs"].items()},
         static_params=tuple(statics),

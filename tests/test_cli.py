@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -143,6 +144,28 @@ class TestSweep:
             b = (tmp_path / "b" / f"{name}.csv").read_bytes()
             assert a == b
 
+    def test_masks_are_stored_canonical(self, lag_file, tmp_path, capsys):
+        args = [
+            "sweep", "--benchmark", lag_file, "--spec", "phi1", "--reps", "2",
+            "--budget", "30", "--optimizer", "random",
+        ]
+        assert main(args + ["--masks", "w,l", "--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--masks", "W,L", "--out", str(tmp_path / "b")]) == 0
+        for name in ("results", "aggregate", "coverage", "cactus"):
+            a = (tmp_path / "a" / f"{name}.csv").read_bytes()
+            b = (tmp_path / "b" / f"{name}.csv").read_bytes()
+            assert a == b
+        coverage = (tmp_path / "a" / "coverage.csv").read_text().splitlines()
+        assert {"1,L,1", "1,W,1", "2,L-W,1"} <= set(coverage)
+
+    def test_one_mask_named_twice_exits_2(self, lag_file, tmp_path, capsys):
+        code = main([
+            "sweep", "--benchmark", lag_file, "--masks", "W-L,L-W",
+            "--reps", "1", "--budget", "10", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "twice" in capsys.readouterr().err
+
     def test_bad_mask_list_exits_2(self, lag_file, tmp_path, capsys):
         code = main([
             "sweep", "--benchmark", lag_file, "--masks", "W,Q",
@@ -206,6 +229,14 @@ class TestValidate:
         ({"inputs": 5}, "'inputs'"),
         ({"model": {"kind": "first_order_lag", "params": [1]}}, "model"),
         ({"static_params": [3]}, "static param entry"),
+        ({"horizon": None}, "'horizon' must be a finite number"),
+        ({"dt": [0.1]}, "'dt' must be a finite number"),
+        ({"horizon": math.inf}, "'horizon' must be a finite number"),
+        ({"inputs": [{"name": "u", "min": None, "max": 1.0}]}, "input 'u' 'min'"),
+        ({"model": {"kind": "first_order_lag", "params": {"K": "abc"}}}, "model param 'K'"),
+        ({"model": {"kind": "first_order_lag", "params": {"tau": math.nan}}}, "model param 'tau'"),
+        ({"static_params": [{"name": "y_init", "min": -1.0, "max": 1.0, "default": 0.9}],
+          "model": {"kind": "first_order_lag", "params": {"y_init": 0.5}}}, "has default 0.9"),
     ])
     def test_badly_shaped_section_exits_2(self, tmp_path, capsys, change, section):
         path = tmp_path / "lag_shape.json"

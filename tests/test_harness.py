@@ -78,6 +78,16 @@ class TestRunExperiment:
             self.make_config(mask_labels=())
         with pytest.raises(ValueError):
             self.make_config(mask_labels=("Q",))
+        with pytest.raises(ValueError, match="twice"):
+            self.make_config(mask_labels=("W-L", "L-W"))
+        with pytest.raises(ValueError, match="twice"):
+            self.make_config(mask_labels=("W", "w"))
+
+    def test_mask_labels_stored_canonical(self):
+        config = self.make_config(mask_labels=("w", "W-l", "d-P-L"))
+        assert config.mask_labels == ("W", "L-W", "L-P-D")
+        assert run_experiment(config) == run_experiment(
+            self.make_config(mask_labels=("W", "L-W", "L-P-D")))
 
 
 class TestAggregate:

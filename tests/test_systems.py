@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from pulsefalsify.systems import (
     SimulationError,
     builtin_benchmark,
     builtin_benchmark_names,
+    _rk4,
     load_benchmark,
-    rk4_step,
     simulate,
     simulate_batch,
 )
@@ -27,15 +28,15 @@ def constant_inputs(benchmark, values):
 class TestRk4Step:
     def test_zero_derivative(self):
         state = np.array([3.0, -1.0])
-        out = rk4_step(lambda s, u: np.zeros_like(s), state, np.zeros(1), 0.1)
+        out = _rk4(lambda s, u: np.zeros_like(s), 0.1)(state, np.zeros(1))
         np.testing.assert_array_equal(out, state)
 
     def test_constant_derivative_exact(self):
-        out = rk4_step(lambda s, u: np.ones_like(s), np.array([0.0]), np.zeros(1), 0.1)
+        out = _rk4(lambda s, u: np.ones_like(s), 0.1)(np.array([0.0]), np.zeros(1))
         assert out[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_exponential_accuracy(self):
-        out = rk4_step(lambda s, u: s, np.array([1.0]), np.zeros(1), 0.1)
+        out = _rk4(lambda s, u: s, 0.1)(np.array([1.0]), np.zeros(1))
         assert out[0] == pytest.approx(math.exp(0.1), abs=1e-7)
 
 
@@ -290,6 +291,43 @@ class TestLoadBenchmark:
         with pytest.raises(ValueError, match="static param names must be unique"):
             load_benchmark(json.dumps(doc))
 
+    @pytest.mark.parametrize("change, field", [
+        ({"horizon": None}, "'horizon'"),
+        ({"dt": [0.1]}, "'dt'"),
+        ({"horizon": math.inf}, "'horizon'"),
+        ({"inputs": [{"name": "u", "min": None, "max": 1.0}]}, "input 'u' 'min'"),
+        ({"inputs": [{"name": "u", "min": 0.0, "max": math.nan}]}, "input 'u' 'max'"),
+        ({"model": {"kind": "first_order_lag", "params": {"K": "abc"}}}, "model param 'K'"),
+        ({"model": {"kind": "first_order_lag", "params": {"tau": math.nan}}}, "model param 'tau'"),
+        ({"static_params": [{"name": "y_init", "min": None, "max": 1.0, "default": 0.0}]},
+         "static param 'y_init' 'min'"),
+        ({"static_params": [{"name": "y_init", "min": -1.0, "max": math.inf, "default": 0.0}]},
+         "static param 'y_init' 'max'"),
+        ({"static_params": [{"name": "y_init", "min": -1.0, "max": 1.0, "default": "x"}]},
+         "static param 'y_init' 'default'"),
+    ])
+    def test_number_that_is_not_finite_rejected(self, change, field):
+        # json.dumps writes math.inf and math.nan as Infinity and NaN, which
+        # json.loads accepts
+        doc = {**self.base_doc(), **change}
+        with pytest.raises(ValueError, match=re.escape(field) + " must be a finite number"):
+            load_benchmark(json.dumps(doc))
+
+    def test_model_params_become_floats(self):
+        params = ModelSpec("first_order_lag", {"K": 2, "tau": "0.5"}).params
+        assert params == {"K": 2.0, "tau": 0.5}
+        assert all(type(v) is float for v in params.values())
+
+    def test_static_default_differing_from_model_param_rejected(self):
+        doc = self.base_doc()
+        doc["model"]["params"] = {"y_init": 0.5}
+        doc["static_params"] = [{"name": "y_init", "min": -1.0, "max": 1.0, "default": 0.9}]
+        with pytest.raises(ValueError, match="static param 'y_init' has default 0.9, "
+                                             "but model param 'y_init' is 0.5"):
+            load_benchmark(json.dumps(doc))
+        doc["static_params"][0]["default"] = 0.5
+        assert load_benchmark(json.dumps(doc)).static_params[0].default == 0.5
+
     def test_unknown_model_kind(self):
         doc = self.base_doc()
         doc["model"]["kind"] = "quadcopter"
@@ -314,9 +352,8 @@ def rk4_reference(derivative, state, inp, dt):
 
 
 def loop_reference(model, u, dt, statics):
-    """Point-by-point step loops of the lag, platoon and delta-sigma models,
-    on one (channels, n) input trace; the batched models must match them
-    bit for bit."""
+    """Point-by-point step loops of the four models, on one (channels, n)
+    input trace; the batched models must match them bit for bit."""
     n = u.shape[1]
     get = model.params.get  # the reference keeps its own defaults
     if model.kind == "first_order_lag":
@@ -350,6 +387,21 @@ def loop_reference(model, u, dt, statics):
                 state[1] = 0.0
             out[:, k + 1] = state[0::2]
         return out
+    if model.kind == "switched_system":
+        a1, a2, bm = (np.array([[get(f"{m}_11", d[0]), get(f"{m}_12", d[1])],
+                                [get(f"{m}_21", d[2]), get(f"{m}_22", d[3])]])
+                      for m, d in (("a1", (-0.5, -1.0, 1.0, -0.5)), ("a2", (0.05, -1.0, 1.0, 0.05)),
+                                   ("b", (1.0, 0.0, 0.0, 1.0))))
+        gamma = statics.get("thresh", get("thresh", 0.7))
+        x = np.array([statics.get("x1_init", 0.0), statics.get("x2_init", 0.0)])
+        out = np.empty((2, n))
+        out[:, 0] = x
+        for k in range(n - 1):
+            # the mode is chosen afresh at every RK4 stage
+            x = rk4_reference(lambda s, i: (a1 if abs(s[0]) < gamma else a2) @ s + bm @ i,
+                              x, u[:, k], dt)
+            out[:, k + 1] = x
+        return out
     assert model.kind == "delta_sigma"
     b = np.array([get("b1", 0.044), get("b2", 0.287), get("b3", 0.8)])
     x = np.array([statics.get(f"x{j}_init", 0.0) for j in (1, 2, 3)])
@@ -363,9 +415,7 @@ def loop_reference(model, u, dt, statics):
 
 
 class TestBatchedModels:
-    @pytest.mark.parametrize(
-        "name", [n for n in builtin_benchmark_names() if not n.startswith("ss")]
-    )
+    @pytest.mark.parametrize("name", builtin_benchmark_names())
     def test_rows_match_step_loops_bit_for_bit(self, name, rng):
         bench = builtin_benchmark(name)
         rows, n = 8, len(bench.grid())
