@@ -237,6 +237,8 @@ class TestValidate:
         ({"model": {"kind": "first_order_lag", "params": {"tau": math.nan}}}, "model param 'tau'"),
         ({"static_params": [{"name": "y_init", "min": -1.0, "max": 1.0, "default": 0.9}],
           "model": {"kind": "first_order_lag", "params": {"y_init": 0.5}}}, "has default 0.9"),
+        ({"model": {"kind": "first_order_lag", "params": {"K": True}}}, "model param 'K'"),
+        ({"model": {"kind": "first_order_lag", "params": {"tau": "2"}}}, "model param 'tau'"),
     ])
     def test_badly_shaped_section_exits_2(self, tmp_path, capsys, change, section):
         path = tmp_path / "lag_shape.json"

@@ -65,6 +65,17 @@ class TestLag:
         for coarse, fine in zip(errors, errors[1:]):
             assert 8.0 <= coarse / fine <= 32.0
 
+    def test_rest_kept_where_steps_overflow_a_block(self):
+        # dt/tau = 1000: q^32 overflows, yet y stays 0 under u = 0 step by step
+        b = load_benchmark(json.dumps({
+            "name": "lag", "horizon": 10.0, "dt": 0.1,
+            "inputs": [{"name": "u", "min": 0.0, "max": 1.0}],
+            "model": {"kind": "first_order_lag", "params": {"tau": 1e-4}},
+            "specs": {"phi": "alw[0,10](y <= 2)"},
+        }))
+        out = simulate(b, constant_inputs(b, [0.0]))
+        np.testing.assert_array_equal(out.channel("y"), 0.0)
+
     def test_grid_alignment(self):
         b = builtin_benchmark("lag")
         out = simulate(b, constant_inputs(b, [0.5]))
@@ -305,6 +316,8 @@ class TestLoadBenchmark:
          "static param 'y_init' 'max'"),
         ({"static_params": [{"name": "y_init", "min": -1.0, "max": 1.0, "default": "x"}]},
          "static param 'y_init' 'default'"),
+        ({"model": {"kind": "first_order_lag", "params": {"K": True}}}, "model param 'K'"),
+        ({"model": {"kind": "first_order_lag", "params": {"tau": "2"}}}, "model param 'tau'"),
     ])
     def test_number_that_is_not_finite_rejected(self, change, field):
         # json.dumps writes math.inf and math.nan as Infinity and NaN, which
@@ -314,7 +327,7 @@ class TestLoadBenchmark:
             load_benchmark(json.dumps(doc))
 
     def test_model_params_become_floats(self):
-        params = ModelSpec("first_order_lag", {"K": 2, "tau": "0.5"}).params
+        params = ModelSpec("first_order_lag", {"K": 2, "tau": np.float32(0.5)}).params
         assert params == {"K": 2.0, "tau": 0.5}
         assert all(type(v) is float for v in params.values())
 
@@ -327,6 +340,15 @@ class TestLoadBenchmark:
             load_benchmark(json.dumps(doc))
         doc["static_params"][0]["default"] = 0.5
         assert load_benchmark(json.dumps(doc)).static_params[0].default == 0.5
+
+    @pytest.mark.parametrize("horizon, dt", [(math.inf, 0.1), (10.0, math.nan)])
+    def test_horizon_or_dt_not_finite_rejected(self, horizon, dt):
+        with pytest.raises(ValueError, match="horizon and dt must be finite"):
+            Benchmark(
+                name="x", inputs=(("u", __import__("pulsefalsify").InputRange(0, 1)),),
+                horizon=horizon, dt=dt, model=ModelSpec("first_order_lag"),
+                spec_texts={"phi": "y > 0"},
+            )
 
     def test_unknown_model_kind(self):
         doc = self.base_doc()
@@ -353,7 +375,8 @@ def rk4_reference(derivative, state, inp, dt):
 
 def loop_reference(model, u, dt, statics):
     """Point-by-point step loops of the four models, on one (channels, n)
-    input trace; the batched models must match them bit for bit."""
+    input trace; the batched models must match them bit for bit, except the
+    lag's closed form (see ``assert_lag_agrees``)."""
     n = u.shape[1]
     get = model.params.get  # the reference keeps its own defaults
     if model.kind == "first_order_lag":
@@ -414,26 +437,76 @@ def loop_reference(model, u, dt, statics):
     return out
 
 
+def assert_lag_agrees(out, expected):
+    # The lag is solved in closed form, not stepped: it agrees with its RK4
+    # step loop to within rounding, 1e-14 relative to the row's largest |y|.
+    np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
+
+
+def random_block(bench, rows, rng, pieces=6):
+    """``rows`` random input traces, constant over ``pieces`` equal pieces of
+    the grid and inside each channel's range, with random static values."""
+    n = len(bench.grid())
+    u = rng.random((rows, len(bench.inputs), pieces))[:, :, np.arange(n) * pieces // n]
+    for c, (_, r) in enumerate(bench.inputs):
+        u[:, c] = r.lower + u[:, c] * (r.upper - r.lower)
+    statics = {
+        p.name: p.lower + rng.random(rows) * (p.upper - p.lower) for p in bench.static_params
+    }
+    return u, statics
+
+
+Y_INIT = [{"name": "y_init", "min": -2.0, "max": 2.0, "default": 0.0}]
+
+
 class TestBatchedModels:
     @pytest.mark.parametrize("name", builtin_benchmark_names())
     def test_rows_match_step_loops_bit_for_bit(self, name, rng):
         bench = builtin_benchmark(name)
         rows, n = 8, len(bench.grid())
-        # piecewise-constant random inputs inside each channel's range
-        levels = rng.random((rows, len(bench.inputs), 6))
-        u = levels[:, :, np.minimum(np.arange(n) * 6 // n, 5)]
-        for c, (_, r) in enumerate(bench.inputs):
-            u[:, c] = r.lower + u[:, c] * (r.upper - r.lower)
-        statics = {
-            p.name: p.lower + rng.random(rows) * (p.upper - p.lower) for p in bench.static_params
-        }
+        u, statics = random_block(bench, rows, rng)
         out = simulate_batch(bench, u, statics)
         assert out.shape == (rows, len(bench.output_names), n)
         for row in range(rows):
             expected = loop_reference(
                 bench.model, u[row], bench.dt, {k: v[row] for k, v in statics.items()}
             )
-            np.testing.assert_array_equal(out[row], expected)
+            if bench.model.kind == "first_order_lag":
+                assert_lag_agrees(out[row], expected)
+            else:
+                np.testing.assert_array_equal(out[row], expected)
+
+    @pytest.mark.parametrize("name", builtin_benchmark_names())
+    def test_row_independent_of_its_block(self, name, rng):
+        # Witness replay scores one row alone, so a row of any block must be
+        # the same bits as that row simulated alone or in a smaller block.
+        bench = builtin_benchmark(name)
+        u, statics = random_block(bench, 64, rng, pieces=len(bench.grid()))
+        out = simulate_batch(bench, u, statics)
+        for rows in [slice(row, row + 1) for row in range(64)] + [slice(20, 25)]:
+            part = simulate_batch(bench, u[rows], {k: v[rows] for k, v in statics.items()})
+            np.testing.assert_array_equal(out[rows], part)
+
+    @pytest.mark.parametrize("params, horizon, statics", [
+        ({"tau": 1.0}, 1000.0, []),  # 10,001 steps
+        ({"tau": 0.0625}, 10.0, []),  # dt/tau = 1.6: q near its least, 0.27
+        ({"K": 2.5, "tau": 0.7}, 10.0, Y_INIT),
+        ({"tau": -1.0}, 10.0, Y_INIT),  # q > 1: y grows e^10-fold
+    ])
+    def test_lag_agrees_with_step_loop_on_edge_configs(self, params, horizon, statics, rng):
+        bench = load_benchmark(json.dumps({
+            "name": "lag", "horizon": horizon, "dt": 0.1,
+            "inputs": [{"name": "u", "min": 0.0, "max": 1.0}],
+            "model": {"kind": "first_order_lag", "params": params},
+            "specs": {"phi": "alw[0,10](y <= 2)"},
+            "static_params": statics,
+        }))
+        rows = 3
+        u, values = random_block(bench, rows, rng, pieces=len(bench.grid()))
+        out = simulate_batch(bench, u, values)
+        for row in range(rows):
+            row_statics = {k: v[row] for k, v in values.items()}
+            assert_lag_agrees(out[row], loop_reference(bench.model, u[row], bench.dt, row_statics))
 
     def test_platoon_lead_car_at_rest_under_braking(self):
         # full brake from rest, then throttle: exercises the rest clamp rows
