@@ -106,11 +106,14 @@ def _cmd_run(args) -> int:
     config = OptimizerConfig(kind=_OPTIMIZER_NAMES[args.optimizer],
                              budget=args.budget, seed=args.seed)
     outcome = falsify(benchmark, args.spec, mask, config, args.semantics)
+    counters = (f"restarts={outcome.restarts} surrogate_fits={outcome.surrogate_fits} "
+                f"degenerate_fits={outcome.degenerate_fits}")
     if outcome.falsified:
         check = evaluate_witness(benchmark, args.spec, outcome.witness, args.semantics)
         print(f"FALSIFIED {benchmark.name}/{args.spec} mask={mask.label} "
               f"sims={outcome.simulations_used} robustness={outcome.best_robustness:.6g} "
               f"(witness check {check:.6g})")
+        print(counters)
         if args.witness_out:
             doc = {
                 "benchmark": benchmark.name,
@@ -127,6 +130,7 @@ def _cmd_run(args) -> int:
         return 0
     print(f"NOT FALSIFIED {benchmark.name}/{args.spec} mask={mask.label} "
           f"sims={outcome.simulations_used} best robustness={outcome.best_robustness:.6g}")
+    print(counters)
     return 1 if args.expect_falsified else 0
 
 

@@ -5,8 +5,9 @@ specifications, and optional static search parameters (e.g. initial
 conditions).  Simulation is deterministic: one classical RK4 step per grid
 interval with the inputs held over it (the delta-sigma modulator is a
 discrete map with one step per grid instant).  The first-order lag's steps
-are solved in closed form; every other model is a step function that one
-loop, ``_march``, iterates over the grid.
+are solved in closed form, and the switched system steps each row in Python
+floats; the platoon and the modulator are step functions that one loop,
+``_march``, iterates over the grid.
 
 The shipped models are desk-scale substitutes for the proprietary ARCH
 suite: a first-order lag, a five-car platoon, a third-order delta-sigma
@@ -70,6 +71,8 @@ class ModelSpec:
         object.__setattr__(self, "params", {
             name: _finite(value, f"model param {name!r}") for name, value in self.params.items()
         })
+        if self.kind == "first_order_lag" and self.params.get("tau") == 0.0:
+            raise ValueError("model param 'tau' must be nonzero: the lag divides by it")
 
 
 @dataclass(frozen=True)
@@ -164,12 +167,13 @@ class Benchmark:
 # Model dynamics
 #
 # Each model ``(p, u, dt)`` maps input traces u of shape (B, channels, n)
-# onto outputs of shape (B, outputs, n): the lag in closed form, the others
-# as a step function that ``_march`` iterates.  It reads params only as
-# ``p[name]``: a float, or a (B,) array for a static search parameter.  Rows
-# never mix, not even through a matrix product, so row b is exactly the
-# simulation of input b alone.  States are (S, B) and traces time-major,
-# which keeps the per-step indexing cheap.
+# onto outputs of shape (B, outputs, n): the lag in closed form, the
+# switched system row by row in floats, and the others as a step function
+# that ``_march`` iterates.  It reads params only as ``p[name]``: a float,
+# or a (B,) array for a static search parameter.  Rows never mix, not even
+# through a matrix product, so row b is exactly the simulation of input b
+# alone.  States are (S, B) and traces time-major, which keeps the per-step
+# indexing cheap.
 
 
 def _march(step, state: np.ndarray, n: int) -> np.ndarray:
@@ -303,25 +307,35 @@ def _delta_sigma(p, u: np.ndarray, dt: float) -> np.ndarray:
 
 def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
     # dx = A1 x + B u while |x1| < gamma, else A2 x + B u.  A1 is a stable
-    # spiral, A2 a slowly expanding one.
-    a1, a2, bmat = (np.array([[p[f"{m}_11"], p[f"{m}_12"]], [p[f"{m}_21"], p[f"{m}_22"]]])
-                    for m in ("a1", "a2", "b"))
-
-    def deriv(x, held):
-        inp, gamma = held
-        return (a1 if abs(x[0]) < gamma else a2) @ x + bmat @ inp
-
-    rk4 = _rk4(deriv, dt)
+    # spiral, A2 a slowly expanding one.  With two states, numpy's per-call
+    # cost would be most of a step, so each row is stepped in Python floats:
+    # RK4 with the input held, the mode chosen afresh at every stage.
+    a1, a2, (b11, b12, b21, b22) = (
+        tuple(p[f"{m}_{ij}"] for ij in ("11", "12", "21", "22")) for m in ("a1", "a2", "b"))
+    half, sixth = 0.5 * dt, dt / 6.0
     rows = u.shape[0]
-    x0 = np.empty((rows, 2))
-    x0[:, 0] = p["x1_init"]
-    x0[:, 1] = p["x2_init"]
-    # Rows are integrated one at a time: the 1-D ``a @ state`` products are
-    # not reproduced bit for bit by any batched matrix product.
     out = np.empty((rows, 2, u.shape[2]))
-    for row, gamma in enumerate(np.broadcast_to(p["thresh"], (rows,))):
-        inputs = u[row].T
-        out[row] = _march(lambda k, x: rk4(x, (inputs[k], gamma)), x0[row], len(inputs)).T
+    thresh, x1_init, x2_init = (np.broadcast_to(p[name], (rows,)).tolist()
+                                for name in ("thresh", "x1_init", "x2_init"))
+    for row, gamma in enumerate(thresh):
+
+        def deriv(x1, x2, c1, c2):
+            a11, a12, a21, a22 = a1 if abs(x1) < gamma else a2
+            return (a11 * x1 + a12 * x2) + c1, (a21 * x1 + a22 * x2) + c2
+
+        x1, x2 = x1_init[row], x2_init[row]
+        trace = [(x1, x2)]
+        u1, u2 = u[row].tolist()
+        for v1, v2 in zip(u1[:-1], u2[:-1]):
+            c1, c2 = b11 * v1 + b12 * v2, b21 * v1 + b22 * v2
+            k11, k12 = deriv(x1, x2, c1, c2)
+            k21, k22 = deriv(x1 + half * k11, x2 + half * k12, c1, c2)
+            k31, k32 = deriv(x1 + half * k21, x2 + half * k22, c1, c2)
+            k41, k42 = deriv(x1 + dt * k31, x2 + dt * k32, c1, c2)
+            x1 = x1 + sixth * (k11 + (k21 + k21) + (k31 + k31) + k41)
+            x2 = x2 + sixth * (k12 + (k22 + k22) + (k32 + k32) + k42)
+            trace.append((x1, x2))
+        out[row] = np.array(trace).T
     return out
 
 

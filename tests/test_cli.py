@@ -4,6 +4,9 @@ import math
 import pytest
 
 from pulsefalsify.cli import main
+from pulsefalsify.falsification import FreeMask, falsify
+from pulsefalsify.optimizers import OptimizerConfig
+from pulsefalsify.systems import load_benchmark_file
 
 
 LAG_DOC = {
@@ -78,6 +81,20 @@ class TestRun:
             "--optimizer", "random", "--budget", "20",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("spec, first", [("phi1", "FALSIFIED"), ("phi2", "NOT FALSIFIED")])
+    def test_counters_follow_the_result_line(self, lag_file, capsys, spec, first):
+        main(["run", "--benchmark", lag_file, "--spec", spec, "--mask", "W",
+              "--optimizer", "turbo", "--budget", "40", "--seed", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{first} lag/{spec} mask=W sims=")
+        outcome = falsify(load_benchmark_file(lag_file), spec, FreeMask.from_label("W"),
+                          OptimizerConfig(kind="turbo_lite", budget=40, seed=0))
+        assert lines[1] == (f"restarts={outcome.restarts} "
+                            f"surrogate_fits={outcome.surrogate_fits} "
+                            f"degenerate_fits={outcome.degenerate_fits}")
+        if first == "NOT FALSIFIED":
+            assert outcome.surrogate_fits > 0  # past the Latin hypercube
 
     def test_unknown_spec_exits_2(self, lag_file, capsys):
         code = main([
@@ -239,6 +256,8 @@ class TestValidate:
           "model": {"kind": "first_order_lag", "params": {"y_init": 0.5}}}, "has default 0.9"),
         ({"model": {"kind": "first_order_lag", "params": {"K": True}}}, "model param 'K'"),
         ({"model": {"kind": "first_order_lag", "params": {"tau": "2"}}}, "model param 'tau'"),
+        ({"model": {"kind": "first_order_lag", "params": {"tau": 0.0}}},
+         "model param 'tau' must be nonzero"),
     ])
     def test_badly_shaped_section_exits_2(self, tmp_path, capsys, change, section):
         path = tmp_path / "lag_shape.json"

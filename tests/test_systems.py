@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from pulsefalsify.falsification import FreeMask, batch_objective, build_param_space
 from pulsefalsify.signals import Signal
 from pulsefalsify.systems import (
     Benchmark,
@@ -190,6 +191,33 @@ class TestSimulationFailures:
         with pytest.raises(SimulationError):
             simulate(bench, constant_inputs(bench, [1.0]))
 
+    def test_switched_system_divergence_reported_as_simulation_error(self):
+        # A2 = [[40, -1], [1, 40]] explodes once |x1| passes thresh: Python
+        # floats overflow to inf without raising, and inf - inf gives nan
+        bench = load_benchmark(json.dumps({
+            "name": "ss_div", "horizon": 200.0, "dt": 0.2,
+            "inputs": [{"name": "u1", "min": -1.0, "max": 1.0},
+                       {"name": "u2", "min": -1.0, "max": 1.0}],
+            "model": {"kind": "switched_system", "params": {"a2_11": 40.0, "a2_22": 40.0}},
+            "specs": {"phi": "alw[0,20](x1 <= 2.0)"},
+        }))
+        levels = [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+        u = np.array(levels)[:, :, None] * np.ones(len(bench.grid()))
+        finite = np.isfinite(simulate_batch(bench, u)).all(axis=(1, 2))
+        assert finite.tolist() == [False, False, True]
+        for values, ok in zip(levels, finite):
+            if ok:
+                simulate(bench, constant_inputs(bench, values))
+            else:
+                with pytest.raises(SimulationError):
+                    simulate(bench, constant_inputs(bench, values))
+        # pulses with low = high: u1, u2 at -1 for 0 and at +1 for 1
+        space = build_param_space(bench, FreeMask.from_label("L-H"))
+        scores = batch_objective(bench, "phi", space)(np.array(
+            [[0.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]))
+        assert scores[0] == scores[1] == math.inf
+        assert math.isfinite(scores[2])
+
 
 class TestLoadBenchmark:
     def base_doc(self):
@@ -326,6 +354,15 @@ class TestLoadBenchmark:
         with pytest.raises(ValueError, match=re.escape(field) + " must be a finite number"):
             load_benchmark(json.dumps(doc))
 
+    @pytest.mark.parametrize("tau", [0.0, -0.0])
+    def test_zero_tau_rejected(self, tau):
+        doc = self.base_doc()
+        doc["model"]["params"] = {"tau": tau}
+        with pytest.raises(ValueError, match="model param 'tau' must be nonzero"):
+            load_benchmark(json.dumps(doc))
+        doc["model"]["params"] = {"tau": -1.0}  # unstable, but a valid lag
+        assert load_benchmark(json.dumps(doc)).model.params["tau"] == -1.0
+
     def test_model_params_become_floats(self):
         params = ModelSpec("first_order_lag", {"K": 2, "tau": np.float32(0.5)}).params
         assert params == {"K": 2.0, "tau": 0.5}
@@ -376,7 +413,7 @@ def rk4_reference(derivative, state, inp, dt):
 def loop_reference(model, u, dt, statics):
     """Point-by-point step loops of the four models, on one (channels, n)
     input trace; the batched models must match them bit for bit, except the
-    lag's closed form (see ``assert_lag_agrees``)."""
+    lag and the switched system (see ``assert_agrees_within_rounding``)."""
     n = u.shape[1]
     get = model.params.get  # the reference keeps its own defaults
     if model.kind == "first_order_lag":
@@ -411,10 +448,7 @@ def loop_reference(model, u, dt, statics):
             out[:, k + 1] = state[0::2]
         return out
     if model.kind == "switched_system":
-        a1, a2, bm = (np.array([[get(f"{m}_11", d[0]), get(f"{m}_12", d[1])],
-                                [get(f"{m}_21", d[2]), get(f"{m}_22", d[3])]])
-                      for m, d in (("a1", (-0.5, -1.0, 1.0, -0.5)), ("a2", (0.05, -1.0, 1.0, 0.05)),
-                                   ("b", (1.0, 0.0, 0.0, 1.0))))
+        a1, a2, bm = (np.array(m) for m in switched_matrices(model))
         gamma = statics.get("thresh", get("thresh", 0.7))
         x = np.array([statics.get("x1_init", 0.0), statics.get("x2_init", 0.0)])
         out = np.empty((2, n))
@@ -437,9 +471,45 @@ def loop_reference(model, u, dt, statics):
     return out
 
 
-def assert_lag_agrees(out, expected):
-    # The lag is solved in closed form, not stepped: it agrees with its RK4
-    # step loop to within rounding, 1e-14 relative to the row's largest |y|.
+def switched_matrices(model):
+    """A1, A2 and B of a switched-system model as nested lists, with the
+    reference's own defaults."""
+    get = model.params.get
+    return tuple([[get(f"{m}_11", d[0]), get(f"{m}_12", d[1])],
+                  [get(f"{m}_21", d[2]), get(f"{m}_22", d[3])]]
+                 for m, d in (("a1", (-0.5, -1.0, 1.0, -0.5)), ("a2", (0.05, -1.0, 1.0, 0.05)),
+                              ("b", (1.0, 0.0, 0.0, 1.0))))
+
+
+def switched_float_loop(model, u, dt, statics):
+    """The switched system on one (2, n) input trace, stepped in Python
+    floats in this operation order: (a11*x1 + a12*x2) + (b11*u1 + b12*u2)
+    for a derivative, x + (0.5*dt)*k for a stage, and
+    x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4) for a step."""
+    a1, a2, bm = switched_matrices(model)
+    gamma = statics.get("thresh", model.params.get("thresh", 0.7))
+
+    def deriv(x, v):
+        a = a1 if abs(x[0]) < gamma else a2
+        return [(r[0] * x[0] + r[1] * x[1]) + (s[0] * v[0] + s[1] * v[1]) for r, s in zip(a, bm)]
+
+    x = [statics.get("x1_init", 0.0), statics.get("x2_init", 0.0)]
+    states = [x]
+    for v in u.T[:-1].tolist():
+        k1 = deriv(x, v)
+        k2 = deriv([a + 0.5 * dt * k for a, k in zip(x, k1)], v)
+        k3 = deriv([a + 0.5 * dt * k for a, k in zip(x, k2)], v)
+        k4 = deriv([a + dt * k for a, k in zip(x, k3)], v)
+        x = [a + dt / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        states.append(x)
+    return np.array(states).T
+
+
+def assert_agrees_within_rounding(out, expected):
+    # The lag is solved in closed form, not stepped, and the switched system
+    # is stepped in floats where the loop's ``a @ x`` may fuse a multiply
+    # and an add: both agree with their RK4 step loop to within rounding,
+    # 1e-14 relative to the row's largest |x|.
     np.testing.assert_allclose(out, expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
 
 
@@ -471,8 +541,8 @@ class TestBatchedModels:
             expected = loop_reference(
                 bench.model, u[row], bench.dt, {k: v[row] for k, v in statics.items()}
             )
-            if bench.model.kind == "first_order_lag":
-                assert_lag_agrees(out[row], expected)
+            if bench.model.kind in ("first_order_lag", "switched_system"):
+                assert_agrees_within_rounding(out[row], expected)
             else:
                 np.testing.assert_array_equal(out[row], expected)
 
@@ -486,6 +556,31 @@ class TestBatchedModels:
         for rows in [slice(row, row + 1) for row in range(64)] + [slice(20, 25)]:
             part = simulate_batch(bench, u[rows], {k: v[rows] for k, v in statics.items()})
             np.testing.assert_array_equal(out[rows], part)
+
+    @pytest.mark.parametrize("name", ["ss", "ss_08", "ss_09", "non_dyadic"])
+    def test_switched_system_matches_float_loop_bit_for_bit(self, name, rng):
+        bench = (builtin_benchmark(name) if name != "non_dyadic" else load_benchmark(json.dumps({
+            "name": name, "horizon": 20.0, "dt": 0.2,
+            "inputs": [{"name": "u1", "min": -1.0, "max": 1.0},
+                       {"name": "u2", "min": -1.0, "max": 1.0}],
+            "model": {"kind": "switched_system", "params": {
+                "a1_11": -0.3, "a1_12": -1.1, "a1_21": 0.9, "a1_22": -0.7,
+                "a2_11": 0.07, "a2_12": -1.3, "a2_21": 1.1, "a2_22": 0.03,
+                "b_11": 1.3, "b_12": 0.2, "b_21": -0.1, "b_22": 0.9, "thresh": 0.6}},
+            "specs": {"phi1": "alw[0,20](x1 <= 2.0)"},
+            "static_params": [{"name": "thresh", "min": 0.5, "max": 0.9, "default": 0.6},
+                              {"name": "x1_init", "min": -0.3, "max": 0.3, "default": 0.0}],
+        })))
+        rows, n = 8, len(bench.grid())
+        u, statics = random_block(bench, rows, rng)
+        # (1, -1) or (-1, 1) over the first third drives |x1| past thresh
+        u[:, :, : n // 3] = rng.choice([-1.0, 1.0], (rows, 1, 1)) * np.array([[1.0], [-1.0]])
+        out = simulate_batch(bench, u, statics)
+        assert np.all(np.abs(out[:, 0]).max(axis=1) >= statics["thresh"])
+        for row in range(rows):
+            row_statics = {k: float(v[row]) for k, v in statics.items()}
+            np.testing.assert_array_equal(
+                out[row], switched_float_loop(bench.model, u[row], bench.dt, row_statics))
 
     @pytest.mark.parametrize("params, horizon, statics", [
         ({"tau": 1.0}, 1000.0, []),  # 10,001 steps
@@ -506,7 +601,8 @@ class TestBatchedModels:
         out = simulate_batch(bench, u, values)
         for row in range(rows):
             row_statics = {k: v[row] for k, v in values.items()}
-            assert_lag_agrees(out[row], loop_reference(bench.model, u[row], bench.dt, row_statics))
+            assert_agrees_within_rounding(
+                out[row], loop_reference(bench.model, u[row], bench.dt, row_statics))
 
     def test_platoon_lead_car_at_rest_under_braking(self):
         # full brake from rest, then throttle: exercises the rest clamp rows
