@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -106,8 +107,10 @@ def _cmd_run(args) -> int:
     config = OptimizerConfig(kind=_OPTIMIZER_NAMES[args.optimizer],
                              budget=args.budget, seed=args.seed)
     outcome = falsify(benchmark, args.spec, mask, config, args.semantics)
+    # A row whose simulation turned non-finite scores +inf.
     counters = (f"restarts={outcome.restarts} surrogate_fits={outcome.surrogate_fits} "
-                f"degenerate_fits={outcome.degenerate_fits}")
+                f"degenerate_fits={outcome.degenerate_fits} "
+                f"diverged={outcome.history.count(math.inf)}")
     if outcome.falsified:
         check = evaluate_witness(benchmark, args.spec, outcome.witness, args.semantics)
         print(f"FALSIFIED {benchmark.name}/{args.spec} mask={mask.label} "

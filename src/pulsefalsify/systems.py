@@ -6,8 +6,8 @@ conditions).  Simulation is deterministic: one classical RK4 step per grid
 interval with the inputs held over it (the delta-sigma modulator is a
 discrete map with one step per grid instant).  The first-order lag's steps
 are solved in closed form, and the switched system steps each row in Python
-floats; the platoon and the modulator are step functions that one loop,
-``_march``, iterates over the grid.
+floats, as does the platoon on blocks of fewer than 16 rows; wider platoon
+blocks and the modulator are step functions that ``_march`` iterates.
 
 The shipped models are desk-scale substitutes for the proprietary ARCH
 suite: a first-order lag, a five-car platoon, a third-order delta-sigma
@@ -64,10 +64,10 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _MODELS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {tuple(_MODELS)}")
-        unknown = set(self.params) - set(_MODELS[self.kind][1])
+        unknown = set(self.params) - set(_MODELS[self.kind][2])
         if unknown:
             raise ValueError(f"model {self.kind!r} has no param(s) {sorted(unknown)}; "
-                             f"it has {sorted(_MODELS[self.kind][1])}")
+                             f"it has {sorted(_MODELS[self.kind][2])}")
         object.__setattr__(self, "params", {
             name: _finite(value, f"model param {name!r}") for name, value in self.params.items()
         })
@@ -119,7 +119,10 @@ class Benchmark:
         statics = [p.name for p in self.static_params]
         if len(set(statics)) != len(statics):
             raise ValueError(f"static param names must be unique, got {statics}")
-        outputs, _, overridable, _ = _MODELS[self.model.kind]
+        outputs, channels, _, overridable, _ = _MODELS[self.model.kind]
+        if len(self.inputs) != channels:
+            raise ValueError(f"model {self.model.kind!r} takes {channels} input channel(s), "
+                             f"got {len(self.inputs)}")
         unread = [p.name for p in self.static_params if p.name not in overridable]
         if unread:
             raise ValueError(f"model {self.model.kind!r} reads no static param(s) {unread}; "
@@ -168,12 +171,12 @@ class Benchmark:
 #
 # Each model ``(p, u, dt)`` maps input traces u of shape (B, channels, n)
 # onto outputs of shape (B, outputs, n): the lag in closed form, the
-# switched system row by row in floats, and the others as a step function
-# that ``_march`` iterates.  It reads params only as ``p[name]``: a float,
-# or a (B,) array for a static search parameter.  Rows never mix, not even
-# through a matrix product, so row b is exactly the simulation of input b
-# alone.  States are (S, B) and traces time-major, which keeps the per-step
-# indexing cheap.
+# switched system and platoon blocks under ``_CC_FLOAT_ROWS`` rows row by
+# row in floats, and the others as a step function that ``_march`` iterates.
+# It reads params only as ``p[name]``: a float, or a (B,) array for a static
+# search parameter.  Rows never mix, not even through a matrix product, so
+# row b is exactly the simulation of input b alone.  States are (S, B) and
+# traces time-major, which keeps the per-step indexing cheap.
 
 
 def _march(step, state: np.ndarray, n: int) -> np.ndarray:
@@ -202,11 +205,6 @@ def _rk4(deriv, dt: float):
         return state + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
     return step
-
-
-def _time_major(u: np.ndarray) -> np.ndarray:
-    """(B, C, n) -> (n, C, B)."""
-    return np.ascontiguousarray(u.transpose(2, 1, 0))
 
 
 _LAG_BLOCK = 32  # steps per block of the lag's closed form
@@ -240,48 +238,87 @@ def _lag(p, u: np.ndarray, dt: float) -> np.ndarray:
     return y[:, None, :n]
 
 
+_CC_FLOAT_ROWS = 16  # below this many rows, numpy's per-call cost outweighs stepping in floats
+
+
 def _chasing_cars(p, u: np.ndarray, dt: float) -> np.ndarray:
-    # Lead car: dv1 = 5*throttle - 8*brake (velocity clamped at 0), dy1 = v1.
-    # Followers i=2..5: spring-damper tracking of the predecessor at spacing d0.
+    # Lead car: dy1 = v1, dv1 = accel_gain*throttle - brake_gain*brake, but
+    # not below 0 at rest; v1 clamped at 0.  Follower i: dv_i = k1*(y_{i-1} -
+    # y_i - d0) - k2*v_i.  Both forms below give the same bits.
+    form = _chasing_cars_floats if len(u) < _CC_FLOAT_ROWS else _chasing_cars_numpy
+    return form(p, u, dt)
+
+
+def _chasing_cars_numpy(p, u: np.ndarray, dt: float) -> np.ndarray:
     k1, k2, d0 = (np.asarray(p[name]) for name in ("k1", "k2", "d0"))
+    command = np.ascontiguousarray((p["accel_gain"] * u[:, 0] - p["brake_gain"] * u[:, 1]).T)
+    resting = np.where(command < 0.0, 0.0, command)  # the lead car cannot reverse
 
-    # Per step: the lead car's commanded acceleration, and the one that
-    # applies while it stands still (it cannot reverse).  They agree on the
-    # rows that do not brake.
-    command = _time_major(p["accel_gain"] * u[:, :1] - p["brake_gain"] * u[:, 1:2])[:, 0]
-    no_brake = ~(command < 0.0)
-    resting = np.where(no_brake, command, 0.0)
-    none_brake = no_brake.all(axis=1).tolist()
-
-    def deriv(state, lead):
-        # ``standing`` is None when no row needs the per-row choice.
-        moving, standing = lead
+    def deriv(state, k):
         d = np.empty_like(state)
         d[:5] = state[5:]
-        d[5] = moving if standing is None else np.where(state[5] <= 0.0, standing, moving)
+        d[5] = np.where(state[5] <= 0.0, resting[k], command[k])
         d[6:] = k1 * (state[:4] - state[1:5] - d0) - k2 * state[6:]
         return d
 
     rk4 = _rk4(deriv, dt)
 
     def step(k, state):
-        # The lead velocity v1 is never negative at a step's start.  A row
-        # that does not brake keeps v1 from falling, and a row at rest that
-        # brakes stays at exactly v1 = 0; when every row is one of the two,
-        # no stage needs the per-row choice and no velocity needs clamping.
-        if none_brake[k]:
-            return rk4(state, (command[k], None))
-        if np.all(no_brake[k] | (state[5] <= 0.0)):
-            return rk4(state, (resting[k], None))
-        state = rk4(state, (command[k], resting[k]))
+        state = rk4(state, k)
         state[5] = np.where(state[5] < 0.0, 0.0, state[5])
         return state
 
-    # State layout: (y1..y5, v1..v5); defaults put the cars at equilibrium
-    # spacing d0 and at rest.
+    # State layout: (y1..y5, v1..v5).
     state = np.zeros((10, u.shape[0]))
     state[:5] = (np.array([4.0, 3.0, 2.0, 1.0, 0.0]) * d0)[:, None]
     return _march(step, state, len(command))[:, :5].transpose(2, 1, 0)
+
+
+def _chasing_cars_floats(p, u: np.ndarray, dt: float) -> np.ndarray:
+    # Row by row in Python floats, in the numpy form's order of operations;
+    # the RK4 stages hold positions y/q/r/s, velocities v/w/x/z, accels a/b/c/e.
+    k1, k2, d0, half, sixth = p["k1"], p["k2"], p["d0"], 0.5 * dt, dt / 6.0
+    init = tuple(c * d0 for c in (4.0, 3.0, 2.0, 1.0, 0.0))
+    out = np.empty((u.shape[0], 5, u.shape[2]))
+    commands = (p["accel_gain"] * u[:, 0] - p["brake_gain"] * u[:, 1]).tolist()
+    for row, command in enumerate(commands):
+        (y1, y2, y3, y4, y5, v1, v2, v3, v4, v5), trace = init + (0.0,) * 5, [init]
+        for lead in command[:-1]:
+            a1 = 0.0 if lead < 0.0 and v1 <= 0.0 else lead
+            a2, a3 = k1 * (y1 - y2 - d0) - k2 * v2, k1 * (y2 - y3 - d0) - k2 * v3
+            a4, a5 = k1 * (y3 - y4 - d0) - k2 * v4, k1 * (y4 - y5 - d0) - k2 * v5
+            q1, q2, q3, q4, q5, w1, w2, w3, w4, w5 = (
+                y1 + half * v1, y2 + half * v2, y3 + half * v3, y4 + half * v4, y5 + half * v5,
+                v1 + half * a1, v2 + half * a2, v3 + half * a3, v4 + half * a4, v5 + half * a5)
+            b1 = 0.0 if lead < 0.0 and w1 <= 0.0 else lead
+            b2, b3 = k1 * (q1 - q2 - d0) - k2 * w2, k1 * (q2 - q3 - d0) - k2 * w3
+            b4, b5 = k1 * (q3 - q4 - d0) - k2 * w4, k1 * (q4 - q5 - d0) - k2 * w5
+            r1, r2, r3, r4, r5, x1, x2, x3, x4, x5 = (
+                y1 + half * w1, y2 + half * w2, y3 + half * w3, y4 + half * w4, y5 + half * w5,
+                v1 + half * b1, v2 + half * b2, v3 + half * b3, v4 + half * b4, v5 + half * b5)
+            c1 = 0.0 if lead < 0.0 and x1 <= 0.0 else lead
+            c2, c3 = k1 * (r1 - r2 - d0) - k2 * x2, k1 * (r2 - r3 - d0) - k2 * x3
+            c4, c5 = k1 * (r3 - r4 - d0) - k2 * x4, k1 * (r4 - r5 - d0) - k2 * x5
+            s1, s2, s3, s4, s5, z1, z2, z3, z4, z5 = (
+                y1 + dt * x1, y2 + dt * x2, y3 + dt * x3, y4 + dt * x4, y5 + dt * x5,
+                v1 + dt * c1, v2 + dt * c2, v3 + dt * c3, v4 + dt * c4, v5 + dt * c5)
+            e1 = 0.0 if lead < 0.0 and z1 <= 0.0 else lead
+            e2, e3 = k1 * (s1 - s2 - d0) - k2 * z2, k1 * (s2 - s3 - d0) - k2 * z3
+            e4, e5 = k1 * (s3 - s4 - d0) - k2 * z4, k1 * (s4 - s5 - d0) - k2 * z5
+            y1 = y1 + sixth * (v1 + (w1 + w1) + (x1 + x1) + z1)
+            y2 = y2 + sixth * (v2 + (w2 + w2) + (x2 + x2) + z2)
+            y3 = y3 + sixth * (v3 + (w3 + w3) + (x3 + x3) + z3)
+            y4 = y4 + sixth * (v4 + (w4 + w4) + (x4 + x4) + z4)
+            y5 = y5 + sixth * (v5 + (w5 + w5) + (x5 + x5) + z5)
+            v1 = v1 + sixth * (a1 + (b1 + b1) + (c1 + c1) + e1)
+            v1 = 0.0 if v1 < 0.0 else v1
+            v2 = v2 + sixth * (a2 + (b2 + b2) + (c2 + c2) + e2)
+            v3 = v3 + sixth * (a3 + (b3 + b3) + (c3 + c3) + e3)
+            v4 = v4 + sixth * (a4 + (b4 + b4) + (c4 + c4) + e4)
+            v5 = v5 + sixth * (a5 + (b5 + b5) + (c5 + c5) + e5)
+            trace.append((y1, y2, y3, y4, y5))
+        out[row] = np.array(trace).T
+    return out
 
 
 def _delta_sigma(p, u: np.ndarray, dt: float) -> np.ndarray:
@@ -339,25 +376,25 @@ def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-# Per model kind: its outputs, its params with their defaults, the params
-# that a static search parameter of the same name overrides, and its
-# dynamics.
+# Per model kind: its outputs and its number of input channels, its params
+# with their defaults, the params that a static search parameter of the same
+# name overrides, and its dynamics.
 _MODELS = {
-    "first_order_lag": (("y",), {"K": 1.0, "tau": 1.0, "y_init": 0.0}, {"y_init"}, _lag),
+    "first_order_lag": (("y",), 1, {"K": 1.0, "tau": 1.0, "y_init": 0.0}, {"y_init"}, _lag),
     "chasing_cars": (
-        ("y1", "y2", "y3", "y4", "y5"),
+        ("y1", "y2", "y3", "y4", "y5"), 2,
         {"k1": 1.0, "k2": 2.0, "d0": 10.0, "accel_gain": 5.0, "brake_gain": 8.0},
         set(),
         _chasing_cars,
     ),
     "delta_sigma": (
-        ("x1", "x2", "x3"),
+        ("x1", "x2", "x3"), 1,
         {"b1": 0.044, "b2": 0.287, "b3": 0.8, "x1_init": 0.0, "x2_init": 0.0, "x3_init": 0.0},
         {"x1_init", "x2_init", "x3_init"},
         _delta_sigma,
     ),
     "switched_system": (
-        ("x1", "x2"),
+        ("x1", "x2"), 2,
         {"a1_11": -0.5, "a1_12": -1.0, "a1_21": 1.0, "a1_22": -0.5,
          "a2_11": 0.05, "a2_12": -1.0, "a2_21": 1.0, "a2_22": 0.05,
          "b_11": 1.0, "b_12": 0.0, "b_21": 0.0, "b_22": 1.0,
@@ -384,7 +421,7 @@ def simulate_batch(
     declared ranges.
     """
     rows = u.shape[0]
-    _, defaults, _, dynamics = _MODELS[benchmark.model.kind]
+    _, _, defaults, _, dynamics = _MODELS[benchmark.model.kind]
     declared = {s.name: s for s in benchmark.static_params}
     # The params view; each source overrides the ones before it.
     p = {**defaults, **benchmark.model.params,

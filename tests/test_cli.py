@@ -92,9 +92,30 @@ class TestRun:
                           OptimizerConfig(kind="turbo_lite", budget=40, seed=0))
         assert lines[1] == (f"restarts={outcome.restarts} "
                             f"surrogate_fits={outcome.surrogate_fits} "
-                            f"degenerate_fits={outcome.degenerate_fits}")
+                            f"degenerate_fits={outcome.degenerate_fits} diverged=0")
         if first == "NOT FALSIFIED":
             assert outcome.surrogate_fits > 0  # past the Latin hypercube
+
+    def test_counters_count_the_diverged_rows(self, tmp_path, capsys):
+        # k1 = 400 makes the followers' RK4 steps unstable at dt = 0.5: a
+        # lead car that moves drives their state past the largest float, and
+        # the row scores +inf; one that stays at rest leaves them at rest
+        path = tmp_path / "cc_unstable.json"
+        path.write_text(json.dumps({
+            "name": "cc_unstable", "horizon": 100.0, "dt": 0.5,
+            "inputs": [{"name": "throttle", "min": 0.0, "max": 1.0},
+                       {"name": "brake", "min": 0.0, "max": 1.0}],
+            "model": {"kind": "chasing_cars", "params": {"k1": 400.0}},
+            "specs": {"phi1": "alw[0,100](y5 - y4 <= 40)"},
+        }))
+        main(["run", "--benchmark", str(path), "--spec", "phi1", "--mask", "L-H",
+              "--optimizer", "random", "--budget", "20", "--seed", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        outcome = falsify(load_benchmark_file(str(path)), "phi1", FreeMask.from_label("L-H"),
+                          OptimizerConfig(kind="random_search", budget=20, seed=0))
+        diverged = sum(value == math.inf for value in outcome.history)
+        assert 0 < diverged < len(outcome.history) == 20
+        assert lines[1].endswith(f" diverged={diverged}")
 
     def test_unknown_spec_exits_2(self, lag_file, capsys):
         code = main([
@@ -264,6 +285,13 @@ class TestValidate:
         path.write_text(json.dumps({**LAG_DOC, **change}))
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert section in capsys.readouterr().err
+
+    def test_input_count_differing_from_the_model_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cc_one_input.json"
+        path.write_text(json.dumps({**LAG_DOC, "model": {"kind": "chasing_cars"},
+                                    "specs": {"phi1": "alw[0,10](y5 - y4 <= 40)"}}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert "model 'chasing_cars' takes 2 input channel(s), got 1" in capsys.readouterr().err
 
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,11 +8,14 @@ import pytest
 from pulsefalsify.falsification import FreeMask, batch_objective, build_param_space
 from pulsefalsify.signals import Signal
 from pulsefalsify.systems import (
+    _CC_FLOAT_ROWS,
     Benchmark,
     ModelSpec,
     SimulationError,
     builtin_benchmark,
     builtin_benchmark_names,
+    _chasing_cars_floats,
+    _chasing_cars_numpy,
     _rk4,
     load_benchmark,
     simulate,
@@ -363,6 +366,23 @@ class TestLoadBenchmark:
         doc["model"]["params"] = {"tau": -1.0}  # unstable, but a valid lag
         assert load_benchmark(json.dumps(doc)).model.params["tau"] == -1.0
 
+    @pytest.mark.parametrize("kind, takes, given", [
+        ("chasing_cars", 2, 1),  # ran into an IndexError at simulation
+        ("switched_system", 2, 1),
+        ("switched_system", 2, 3),
+        ("delta_sigma", 1, 2),  # the second input was silently ignored
+    ])
+    def test_input_count_differing_from_the_model_rejected(self, kind, takes, given):
+        doc = self.base_doc()
+        doc["model"] = {"kind": kind}
+        doc["inputs"] = [{"name": f"u{c}", "min": 0.0, "max": 1.0} for c in range(given)]
+        doc["specs"] = {"phi": "alw[0,10](u0 <= 1)"}
+        with pytest.raises(ValueError, match=re.escape(
+                f"model '{kind}' takes {takes} input channel(s), got {given}")):
+            load_benchmark(json.dumps(doc))
+        doc["inputs"] = [{"name": f"u{c}", "min": 0.0, "max": 1.0} for c in range(takes)]
+        assert len(load_benchmark(json.dumps(doc)).inputs) == takes
+
     def test_model_params_become_floats(self):
         params = ModelSpec("first_order_lag", {"K": 2, "tau": np.float32(0.5)}).params
         assert params == {"K": 2.0, "tau": 0.5}
@@ -529,6 +549,37 @@ def random_block(bench, rows, rng, pieces=6):
 Y_INIT = [{"name": "y_init", "min": -2.0, "max": 2.0, "default": 0.0}]
 
 
+def platoon(params, horizon=100.0, dt=0.5):
+    """A chasing-cars benchmark that names all five model params, so that
+    ``dict(bench.model.params)`` is the params view its model reads."""
+    return load_benchmark(json.dumps({
+        "name": "platoon", "horizon": horizon, "dt": dt,
+        "inputs": [{"name": "throttle", "min": 0.0, "max": 1.0},
+                   {"name": "brake", "min": 0.0, "max": 1.0}],
+        "model": {"kind": "chasing_cars", "params": {
+            "k1": 1.0, "k2": 2.0, "d0": 10.0, "accel_gain": 5.0, "brake_gain": 8.0, **params}},
+        "specs": {"phi1": "alw[0,10](y5 - y4 <= 40)"},
+    }))
+
+
+def platoon_block(bench, rows, rng):
+    """``rows`` platoon inputs over thirds of the grid, taking turns: brake
+    from rest, then throttle; throttle, then brake hard enough to stop;
+    throttle at random levels, never braking."""
+    n = len(bench.grid())
+    third = n // 3
+    u = np.zeros((rows, 2, n))
+    for row in range(rows):
+        throttle, brake = rng.uniform(0.2, 0.5), rng.uniform(0.6, 1.0)
+        if row % 3 == 0:
+            u[row, 1, :third], u[row, 0, third:] = brake, throttle
+        elif row % 3 == 1:
+            u[row, 0, :third], u[row, 1, third : 2 * third] = throttle, brake
+        else:
+            u[row, 0] = rng.random(6)[np.arange(n) * 6 // n]
+    return u
+
+
 class TestBatchedModels:
     @pytest.mark.parametrize("name", builtin_benchmark_names())
     def test_rows_match_step_loops_bit_for_bit(self, name, rng):
@@ -603,6 +654,55 @@ class TestBatchedModels:
             row_statics = {k: v[row] for k, v in values.items()}
             assert_agrees_within_rounding(
                 out[row], loop_reference(bench.model, u[row], bench.dt, row_statics))
+
+    @pytest.mark.parametrize("name", ["cc", "non_dyadic"])
+    def test_platoon_forms_agree_bit_for_bit(self, name, rng):
+        bench = builtin_benchmark("cc") if name == "cc" else platoon(
+            {"k1": 0.37, "k2": 1.13, "d0": 7.3, "accel_gain": 4.1, "brake_gain": 9.7},
+            horizon=60.0, dt=0.3)
+        p = dict(bench.model.params)
+        assert len(p) == 5
+        third = len(bench.grid()) // 3
+        u = platoon_block(bench, _CC_FLOAT_ROWS + 1, rng)
+        floats = _chasing_cars_floats(p, u, bench.dt)
+        np.testing.assert_array_equal(_chasing_cars_numpy(p, u, bench.dt), floats)
+        lead = floats[:, 0]
+        assert np.all(lead[0::3, :third] == lead[0::3, :1])  # braking at rest
+        assert np.all(lead[1::3, third] > lead[1::3, third - 1])  # braking while moving
+        assert np.all(lead[1::3, 2 * third - 1] == lead[1::3, 2 * third - 2])  # until at rest
+        for row in range(3):
+            np.testing.assert_array_equal(
+                floats[row], loop_reference(bench.model, u[row], bench.dt, {}))
+        # simulate_batch takes the numpy form from _CC_FLOAT_ROWS rows on
+        for rows in (_CC_FLOAT_ROWS - 1, _CC_FLOAT_ROWS, _CC_FLOAT_ROWS + 1):
+            block = simulate_batch(bench, u[:rows])
+            np.testing.assert_array_equal(block, floats[:rows])
+            for row in range(rows):
+                alone = simulate_batch(bench, u[row : row + 1])
+                np.testing.assert_array_equal(block[row], alone[0])
+
+    def test_platoon_forms_agree_where_the_state_turns_non_finite(self):
+        # k1 = 400 makes the followers' RK4 steps unstable at dt = 0.5: a
+        # lead car that moves drives their state past the largest float; one
+        # held at rest by braking leaves the platoon at rest
+        bench = platoon({"k1": 400.0})
+        levels = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0)]  # throttle, brake
+        u = np.array(levels)[:, :, None] * np.ones(len(bench.grid()))
+        p = dict(bench.model.params)
+        with np.errstate(all="ignore"):
+            floats = _chasing_cars_floats(p, u, bench.dt)
+            np.testing.assert_array_equal(_chasing_cars_numpy(p, u, bench.dt), floats)
+        finite = np.isfinite(floats).all(axis=(1, 2))
+        assert finite.tolist() == [True, False, True, True, False]
+        # pulses with low = high, per channel: throttle, then brake
+        points = np.array([[t, t, b, b] for t, b in levels])
+        space = build_param_space(bench, FreeMask.from_label("L-H"))
+        objective = batch_objective(bench, "phi1", space)
+        assert len(points) < _CC_FLOAT_ROWS <= 4 * len(points)
+        for copies in (1, 4):  # the float form, then the numpy form
+            scores = objective(np.tile(points, (copies, 1)))
+            assert np.array_equal(scores == math.inf, ~np.tile(finite, copies))
+            assert np.all(np.isfinite(scores[np.tile(finite, copies)]))
 
     def test_platoon_lead_car_at_rest_under_braking(self):
         # full brake from rest, then throttle: exercises the rest clamp rows
