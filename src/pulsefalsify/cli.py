@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run``      one falsification attempt (spec + mask), optional witness file
-* ``sweep``    full experiment over mask combinations, writes four CSVs
+* ``sweep``    full experiment over mask combinations, writes four CSVs plus
+  ``errors.csv``
 * ``monitor``  evaluate an STL spec against a trace CSV (both semantics)
 * ``validate`` check a benchmark configuration file
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import stl
 from .falsification import FreeMask, evaluate_witness, falsify
-from .harness import ExperimentConfig, SWEEP_MASK_LABELS, run_experiment, write_csvs
+from .harness import ExperimentConfig, SWEEP_MASK_LABELS, run_experiment, write_csvs, write_errors
 from .optimizers import OptimizerConfig
 from .signals import Signal
 from .systems import load_benchmark_file
@@ -156,13 +157,14 @@ def _cmd_sweep(args) -> int:
     )
     results = run_experiment(config)
     paths = write_csvs(results, args.out)
+    paths["errors"] = write_errors(results, args.out)
     successes = sum(1 for r in results if r.falsified)
     errors = [r for r in results if r.error is not None]
     for r in errors:
         print(f"{r.benchmark}/{r.spec}/{r.mask}/{r.rep}: {r.error}", file=sys.stderr)
     print(f"{len(results)} runs, {successes} falsified, {len(errors)} errors")
-    for name in ("results", "aggregate", "coverage", "cactus"):
-        print(f"wrote {paths[name]}")
+    for path in paths.values():
+        print(f"wrote {path}")
     return 0
 
 

@@ -32,6 +32,8 @@ __all__ = [
     "decode_batch",
     "batch_objective",
     "synthesize_batch",
+    "trace_batch",
+    "monitor_batch",
     "falsify",
     "evaluate_witness",
 ]
@@ -247,8 +249,21 @@ def _score(benchmark: Benchmark, formula: stl.Formula, semantics: str,
     """The B robustness values of ``formula`` for decoded pulse ``fields``
     (channels, 5, B) and static values ((B,) arrays); a row whose
     simulation diverged scores +inf."""
+    return monitor_batch(benchmark, formula, trace_batch(benchmark, fields, statics), semantics)
+
+
+def trace_batch(benchmark: Benchmark, fields: np.ndarray,
+                statics: dict[str, np.ndarray]) -> np.ndarray:
+    """Synthesize and simulate decoded pulse ``fields`` (channels, 5, B):
+    traces of shape (B, outputs + inputs, n), outputs first."""
     u = synthesize_batch(benchmark, fields)
-    traces = np.concatenate([simulate_batch(benchmark, u, statics), u], axis=1)
+    return np.concatenate([simulate_batch(benchmark, u, statics), u], axis=1)
+
+
+def monitor_batch(benchmark: Benchmark, formula: stl.Formula, traces: np.ndarray,
+                  semantics: str = "classic") -> np.ndarray:
+    """The robustness of ``formula`` on each of the (B, outputs + inputs, n)
+    ``traces``; a row with a non-finite sample scores +inf."""
     finite = np.all(np.isfinite(traces), axis=(1, 2))
     values = np.full(len(traces), math.inf)
     if np.any(finite):

@@ -2,9 +2,13 @@
 
 An experiment runs every (spec, mask, repetition) cell with a seed derived
 from the base seed and a stable hash of the cell key, so results are
-reproducible and independent of execution order.  Cells run serially in
-one thread; ``ExperimentConfig.parallelism`` is accepted for compatibility
-and does not change how the cells run.
+reproducible and independent of execution order.  The cells of one
+benchmark run in lockstep, in one thread: each is an ask/tell search, and
+at every step the pending points of all live searches, across specs, are
+decoded, simulated and monitored as one block, in chunks of at most
+``optimizers.MAX_BLOCK`` rows.  Rows never mix, so every search gets the
+values it would get alone.  ``ExperimentConfig.parallelism`` is accepted for
+compatibility and does not change how the cells run.
 """
 
 from __future__ import annotations
@@ -16,8 +20,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .falsification import FreeMask, PulseParam, falsify
-from .optimizers import OptimizerConfig
+import numpy as np
+
+from .falsification import (
+    FreeMask, ParamSpace, PulseParam, build_param_space, decode_batch, monitor_batch, trace_batch,
+)
+from .optimizers import MAX_BLOCK, OptimizerConfig, searcher
 from .systems import Benchmark
 
 __all__ = [
@@ -34,6 +42,7 @@ __all__ = [
     "combination_coverage",
     "cactus_data",
     "write_csvs",
+    "write_errors",
 ]
 
 # The twelve mask combinations used in the dimensionality study.
@@ -122,31 +131,101 @@ def _cells(config: ExperimentConfig):
                     yield benchmark, spec, mask, rep
 
 
-def _run_cell(benchmark: Benchmark, spec: str, mask_label: str, rep: int,
-              config: ExperimentConfig) -> RunRecord:
-    seed = cell_seed(config.base_seed, benchmark.name, spec, mask_label, rep)
-    mask = FreeMask.from_label(mask_label)
-    opt = OptimizerConfig(kind=config.optimizer, budget=config.budget, seed=seed)
-    try:
-        outcome = falsify(benchmark, spec, mask, opt, config.semantics)
-    except Exception as exc:  # captured as a failed run, not a crash
-        return RunRecord(
-            benchmark=benchmark.name, spec=spec, mask=mask_label, rep=rep, seed=seed,
-            falsified=False, sims=0, best_robustness=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return RunRecord(
-        benchmark=benchmark.name, spec=spec, mask=mask_label, rep=rep, seed=seed,
-        falsified=outcome.falsified, sims=outcome.simulations_used,
-        best_robustness=outcome.best_robustness,
-    )
+@dataclass
+class _Search:
+    """A live cell: its record's leading fields, its search space, and its
+    ask/tell machine with the block of points it asked for last, decoded."""
+
+    cell: tuple  # benchmark, spec, mask, rep, seed
+    space: ParamSpace
+    machine: object
+    asked: np.ndarray
+    fields: np.ndarray | None = None
+    statics: dict | None = None
+
+
+def _record(cell: tuple, result=None, error: Exception | None = None) -> RunRecord:
+    if error is not None:  # captured as a failed run, not a crash
+        return RunRecord(*cell, falsified=False, sims=0, best_robustness=math.nan,
+                         error=f"{type(error).__name__}: {error}")
+    return RunRecord(*cell, falsified=result.best.value < 0, sims=result.evaluations_used,
+                     best_robustness=result.best.value)
+
+
+def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list[RunRecord]:
+    """Run the cells of one benchmark side by side.  Every machine is built
+    and asked for its first block before any point is scored; a cell whose
+    machine or decode raises becomes an error record and leaves the rest."""
+    records, live = [], []
+    for _, spec, label, rep in cells:
+        seed = cell_seed(config.base_seed, benchmark.name, spec, label, rep)
+        cell = (benchmark.name, spec, label, rep, seed)
+        try:
+            space = build_param_space(benchmark, FreeMask.from_label(label))
+            machine = searcher(
+                space.dimension,
+                OptimizerConfig(kind=config.optimizer, budget=config.budget, seed=seed))
+            live.append(_Search(cell, space, machine, next(machine)))
+        except Exception as exc:
+            records.append(_record(cell, error=exc))
+    while live:
+        decoded = []
+        for search in live:
+            try:
+                search.fields, search.statics = decode_batch(search.asked, search.space)
+                decoded.append(search)
+            except Exception as exc:
+                records.append(_record(search.cell, error=exc))
+        live = []
+        if not decoded:
+            break
+        try:
+            values = _score_blocks(benchmark, decoded, config.semantics)
+        except Exception as exc:  # a shared chunk failed: so did every search in it
+            records += [_record(search.cell, error=exc) for search in decoded]
+            break
+        ends = np.cumsum([len(search.asked) for search in decoded])
+        for search, told in zip(decoded, np.split(values, ends[:-1])):
+            try:
+                search.asked = search.machine.send(told)
+                live.append(search)
+            except StopIteration as done:
+                records.append(_record(search.cell, done.value))
+            except Exception as exc:
+                records.append(_record(search.cell, error=exc))
+    return records
+
+
+def _score_blocks(benchmark: Benchmark, searches: list[_Search], semantics: str) -> np.ndarray:
+    """The robustness values of the decoded blocks of several searches, in
+    order: their pulse fields are simulated together in chunks of at most
+    ``MAX_BLOCK`` rows, and each chunk is monitored as it is simulated, each
+    row against its own search's spec."""
+    fields = np.concatenate([search.fields for search in searches], axis=2)
+    statics = {name: np.concatenate([search.statics[name] for search in searches])
+               for name in searches[0].statics}
+    specs = np.repeat([search.cell[1] for search in searches],
+                      [len(search.asked) for search in searches])
+    values = np.empty(len(specs))
+    for start in range(0, len(specs), MAX_BLOCK):
+        rows = slice(start, start + MAX_BLOCK)
+        traces = trace_batch(benchmark, fields[:, :, rows],
+                             {name: v[rows] for name, v in statics.items()})
+        for spec in dict.fromkeys(specs[rows]):
+            mine = specs[rows] == spec
+            values[rows][mine] = monitor_batch(
+                benchmark, benchmark.specs[spec], traces[mine], semantics)
+    return values
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
-    """Run all cells, one after another; the result list is sorted by cell
-    key."""
+    """Run all cells, those of each benchmark in lockstep; the result list
+    is sorted by cell key."""
     cells = list(_cells(config))  # raises on an unknown spec before any cell runs
-    records = [_run_cell(b, s, m, r, config) for b, s, m, r in cells]
+    records = []
+    for _, group in itertools.groupby(cells, key=lambda cell: id(cell[0])):
+        group = list(group)
+        records += _run_lockstep(group[0][0], group, config)
     records.sort(key=lambda rec: (rec.benchmark, rec.spec, rec.mask, rec.rep))
     return records
 
@@ -303,3 +382,16 @@ def write_csvs(results: list[RunRecord], out_dir) -> dict[str, Path]:
     paths["cactus"] = out / "cactus.csv"
     _write_csv(paths["cactus"], ["mask", "rank", "sims"], cactus_data(results))
     return paths
+
+
+def write_errors(results: list[RunRecord], out_dir) -> Path:
+    """Emit errors.csv: one row per errored cell, only the header when no
+    cell errored."""
+    path = Path(out_dir) / "errors.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(
+        path,
+        ["benchmark", "spec", "mask", "rep", "seed", "error"],
+        [(r.benchmark, r.spec, r.mask, r.rep, r.seed, r.error) for r in results if r.error is not None],
+    )
+    return path

@@ -15,9 +15,16 @@ Two optimizers share a common result format:
 
 Both stop as soon as an evaluation goes negative; non-finite objective
 values are recorded as +inf and the search continues.  Both score their
-points in blocks of 1, 2, 4, ..., 64, 64, ... rows and record them in order
-up to the first negative value; every point of a block is drawn before the
-block is scored, so blocks never change a result.
+points in blocks of 1, 2, 4, ..., ``MAX_BLOCK``, ``MAX_BLOCK``, ... rows and
+record them in order up to the first negative value; every point of a block
+is drawn before the block is scored, so blocks never change a result.
+
+Each optimizer is an ask/tell machine (the interface of Hansen, "The CMA
+Evolution Strategy: A Tutorial", arXiv:1604.00772): :func:`searcher` returns
+a generator that yields a (k, dim) block of points, is sent their k values,
+and returns the :class:`OptimizationResult` when it stops.  :func:`minimize`
+drives one machine with an objective; a caller that drives many machines at
+once can score all their pending blocks together.
 """
 
 from __future__ import annotations
@@ -36,8 +43,15 @@ __all__ = [
     "random_search",
     "turbo_lite_minimize",
     "fit_surrogate",
+    "searcher",
     "minimize",
+    "MAX_BLOCK",
 ]
+
+# The widest block an optimizer asks to have scored, and the widest block a
+# lockstep campaign simulates at once; the systems' row-independence test
+# checks blocks of this size.
+MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -113,14 +127,9 @@ def latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 class _Budget:
     """Evaluation bookkeeping with stop-on-negative: the one place that
-    scores points.  Without ``batch_objective`` the scalar ``objective`` is
-    mapped over each block lazily, so it is never called past the first
-    negative value."""
+    asks for points to be scored."""
 
-    def __init__(self, objective, budget: int, batch_objective=None):
-        if batch_objective is None:
-            batch_objective = lambda points: map(objective, points)
-        self.batch_objective = batch_objective
+    def __init__(self, budget: int):
         self.budget = budget
         self.history: list[EvalRecord] = []
         self.negative = False
@@ -137,19 +146,22 @@ class _Budget:
     def block(self) -> int:
         """Rows in the next scored block.  The blocks double, so the work
         spent past the first negative value never exceeds the work before
-        it until the size stops at 64."""
-        return min(self.used + 1, 64, self.budget - self.used)
+        it until the size stops at ``MAX_BLOCK``."""
+        return min(self.used + 1, MAX_BLOCK, self.budget - self.used)
 
-    def evaluate(self, points: np.ndarray) -> None:
-        """Score (k, dim) points in blocks and record them in order, up to
-        the first negative value or the end of the budget; the values of any
-        later points are discarded."""
+    def evaluate(self, points: np.ndarray):
+        """Yield (k, dim) points in blocks, receive each block's values and
+        record them in order, up to the first negative value or the end of
+        the budget; the values of any later points are discarded.  The
+        values may be a lazy iterable, which is not read past the first
+        negative value."""
         points = np.array(points, dtype=float)
         start = 0
         while start < len(points) and not self.exhausted:
             chunk = points[start:start + self.block]
             start += len(chunk)
-            for point, value in zip(chunk, self.batch_objective(chunk)):
+            values = yield chunk
+            for point, value in zip(chunk, values):
                 value = float(value) if math.isfinite(value) else math.inf
                 self.history.append(EvalRecord(point=point, value=value, index=self.used + 1))
                 if value < 0:
@@ -176,10 +188,14 @@ def random_search(objective, dim: int, config: OptimizerConfig,
     points come from one seeded stream, so the result is that of scoring
     ``objective`` point by point.
     """
+    return _drive(_random_search(dim, config), objective, batch_objective)
+
+
+def _random_search(dim: int, config: OptimizerConfig):
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(objective, config.budget, batch_objective)
+    tracker = _Budget(config.budget)
     while not tracker.exhausted:
-        tracker.evaluate(rng.random((tracker.block, dim)))
+        yield from tracker.evaluate(rng.random((tracker.block, dim)))
     return tracker.result()
 
 
@@ -219,7 +235,7 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     n, dim = points.shape
-    if n < 2 or len(np.unique(points, axis=0)) < 2:
+    if n < 2 or np.all(points == points[0]):
         raise SurrogateDegeneracy("need at least 2 distinct points")
     if np.ptp(values) == 0.0:
         raise SurrogateDegeneracy("all objective values identical")
@@ -231,11 +247,11 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
     a[:n, n:] = poly
     a[n:, :n] = poly.T
     rhs = np.concatenate([values, np.zeros(dim + 1)])
-    for ridge in (0.0, 1e-8):
-        system = a.copy()
-        system[:n, :n] += ridge * np.eye(n)
+    for attempt in range(2):
+        if attempt:
+            a[:n, :n] += 1e-8 * np.eye(n)  # the ridge, on the second attempt only
         try:
-            sol = np.linalg.solve(system, rhs)
+            sol = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
             continue
         if np.all(np.isfinite(sol)):
@@ -260,16 +276,20 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
     of one; ``batch_objective`` and ``objective`` are as in
     :func:`random_search`.
     """
+    return _drive(_turbo_lite(dim, config), objective, batch_objective)
+
+
+def _turbo_lite(dim: int, config: OptimizerConfig):
     config = config.resolve(dim)
     if config.budget < config.init_samples:
         raise ValueError(
             f"budget {config.budget} smaller than init_samples {config.init_samples}"
         )
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(objective, config.budget, batch_objective)
+    tracker = _Budget(config.budget)
     n_cand = min(_CANDIDATES_PER_DIM * dim, _CANDIDATES_CAP)
     phase_start = 0
-    tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
+    yield from tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
     side = _TR_INITIAL
     successes = failures = 0
     restarts = fits = degenerate = 0
@@ -291,7 +311,7 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
             pick = candidates[int(np.argmin(surrogate.predict(candidates)))]
         else:
             pick = candidates[0]
-        tracker.evaluate(pick[None])
+        yield from tracker.evaluate(pick[None])
         if tracker.history[-1].value < incumbent.value:
             successes += 1
             failures = 0
@@ -309,9 +329,17 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
             successes = failures = 0
             restarts += 1
             phase_start = tracker.used
-            tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
+            yield from tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
     return replace(tracker.result(), restarts=restarts, surrogate_fits=fits,
                    degenerate_fits=degenerate)
+
+
+def searcher(dim: int, config: OptimizerConfig):
+    """The ask/tell machine of ``config.kind`` on [0, 1]^dim: a generator
+    that yields a (k, dim) block of points, is sent their k objective
+    values, and returns the :class:`OptimizationResult`.  Its checks run at
+    the first ``next``, before any point is asked for."""
+    return (_random_search if config.kind == "random_search" else _turbo_lite)(dim, config)
 
 
 def minimize(objective, dim: int, config: OptimizerConfig,
@@ -319,5 +347,19 @@ def minimize(objective, dim: int, config: OptimizerConfig,
     """Dispatch on ``config.kind``.  Both optimizers score their points in
     blocks, through ``batch_objective`` when it is given, and blocks never
     change the result (see :func:`random_search`)."""
-    search = random_search if config.kind == "random_search" else turbo_lite_minimize
-    return search(objective, dim, config, batch_objective)
+    return _drive(searcher(dim, config), objective, batch_objective)
+
+
+def _drive(machine, objective, batch_objective) -> OptimizationResult:
+    """Run one ask/tell machine to its end.  Without ``batch_objective`` the
+    scalar ``objective`` is mapped over each block lazily, so it is never
+    called past the first negative value."""
+    if batch_objective is None:
+        batch_objective = lambda points: map(objective, points)
+    values = None  # sending None starts the machine
+    while True:
+        try:
+            points = machine.send(values)
+        except StopIteration as done:
+            return done.value
+        values = batch_objective(points)

@@ -169,6 +169,20 @@ class TestSweep:
             "lag/phi1/L-P-W-H-D/0", "lag/phi2/L-P-W-H-D/0"]
         assert all("ValueError" in line for line in lines)
 
+    def test_errors_csv_has_a_row_per_errored_cell(self, lag_file, tmp_path, capsys):
+        # at a budget of 3 the 5-D turbo cells raise and the 1-D cells run
+        args = ["sweep", "--benchmark", lag_file, "--spec", "phi1", "--reps", "1",
+                "--optimizer", "turbo", "--budget", "3"]
+        assert main(args + ["--masks", "W,L-P-W-H-D", "--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--masks", "W", "--out", str(tmp_path / "b")]) == 0
+        header = "benchmark,spec,mask,rep,seed,error"
+        assert (tmp_path / "b" / "errors.csv").read_text().splitlines() == [header]
+        lines = (tmp_path / "a" / "errors.csv").read_text().splitlines()
+        assert lines[0] == header and len(lines) == 2
+        assert lines[1].startswith("lag,phi1,L-P-W-H-D,0,")
+        assert "ValueError: budget 3 smaller than init_samples 10" in lines[1]
+        assert "wrote " + str(tmp_path / "a" / "errors.csv") in capsys.readouterr().out
+
     def test_parallel_matches_serial(self, lag_file, tmp_path):
         args = [
             "sweep", "--benchmark", lag_file, "--spec", "phi1",

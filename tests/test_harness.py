@@ -1,5 +1,9 @@
+import math
+
 import pytest
 
+from pulsefalsify import harness
+from pulsefalsify.falsification import FreeMask, falsify, trace_batch
 from pulsefalsify.harness import (
     ExperimentConfig,
     RunRecord,
@@ -11,7 +15,9 @@ from pulsefalsify.harness import (
     render_cell,
     run_experiment,
     write_csvs,
+    write_errors,
 )
+from pulsefalsify.optimizers import OptimizerConfig
 from pulsefalsify.systems import builtin_benchmark
 
 
@@ -232,6 +238,71 @@ class TestWriteCsvs:
         paths = write_csvs(runs, tmp_path)
         agg = paths["aggregate"].read_text().splitlines()
         assert agg[1].endswith(",-")
+
+
+class TestLockstep:
+    """The cells of a benchmark run side by side, their pending points
+    scored as one block; each record must be that of the cell run alone."""
+
+    @pytest.mark.parametrize("optimizer, masks, reps, budget", [
+        ("random_search", ("W", "L-P", "L-P-W-H-D"), 2, 100),
+        ("turbo_lite", ("W", "L-P-W-H", "L-P-W-H-D"), 4, 40),
+    ])
+    def test_records_equal_per_cell_falsify(self, monkeypatch, optimizer, masks, reps, budget):
+        # cc has two inputs, so these masks have dimension 2 to 10, and
+        # phi2 falsifies early in some cells.  The live searches make blocks
+        # that cross the 16-row float/numpy switch and exceed the 64-row chunk.
+        chunks = []
+
+        def recording(benchmark, fields, statics):
+            chunks.append(fields.shape[2])
+            return trace_batch(benchmark, fields, statics)
+
+        monkeypatch.setattr(harness, "trace_batch", recording)
+        config = ExperimentConfig(
+            benchmarks=(builtin_benchmark("cc"),), spec_names=("phi1", "phi2"),
+            mask_labels=masks, repetitions=reps, budget=budget, base_seed=0, optimizer=optimizer,
+        )
+        records = run_experiment(config)
+        assert len(records) == 2 * len(masks) * reps
+        assert max(chunks) == 64 and min(chunks) < 16
+        assert any(16 <= rows < 64 for rows in chunks)
+        assert any(r.falsified and r.sims < budget for r in records)
+        assert any(not r.falsified for r in records)
+        for r in records:
+            outcome = falsify(config.benchmarks[0], r.spec, FreeMask.from_label(r.mask),
+                              OptimizerConfig(kind=optimizer, budget=budget, seed=r.seed))
+            assert r.error is None
+            assert (r.falsified, r.sims, r.best_robustness) == (
+                outcome.falsified, outcome.simulations_used, outcome.best_robustness)
+
+    def test_an_errored_cell_leaves_the_others(self):
+        # turbo_lite needs 2*dim = 10 hypercube points on a 5-D mask, so
+        # that cell raises at a budget of 8; the 1-D cells run
+        def config(masks):
+            return ExperimentConfig(
+                benchmarks=(builtin_benchmark("lag"), builtin_benchmark("cc")),
+                spec_names=("phi1",), mask_labels=masks, repetitions=2, budget=8,
+                optimizer="turbo_lite",
+            )
+
+        mixed = run_experiment(config(("W", "L-P-W-H-D", "L")))
+        alone = run_experiment(config(("W", "L")))
+        errored = [r for r in mixed if r.error is not None]
+        assert [(r.benchmark, r.mask) for r in errored] == [
+            ("cc", "L-P-W-H-D"), ("cc", "L-P-W-H-D"), ("lag", "L-P-W-H-D"), ("lag", "L-P-W-H-D")]
+        for r in errored:
+            assert r.error.startswith("ValueError: budget 8 smaller than init_samples")
+            assert (r.falsified, r.sims) == (False, 0) and math.isnan(r.best_robustness)
+        assert [r for r in mixed if r.error is None] == alone
+
+    def test_errors_csv_lists_the_errored_cells(self, tmp_path):
+        runs = [record(), record(rep=1, falsified=False, sims=0)]
+        assert write_errors(runs, tmp_path / "a").read_text().splitlines() == [
+            "benchmark,spec,mask,rep,seed,error"]
+        runs[1] = RunRecord(**{**runs[1].__dict__, "error": "ValueError: bad"})
+        lines = write_errors(runs, tmp_path / "b").read_text().splitlines()
+        assert lines[1:] == [f"b,phi,W,1,{runs[1].seed},ValueError: bad"]
 
 
 class TestSweepLabels:

@@ -11,6 +11,7 @@ from pulsefalsify.optimizers import (
     latin_hypercube,
     minimize,
     random_search,
+    searcher,
     turbo_lite_minimize,
 )
 
@@ -111,6 +112,16 @@ class TestFitSurrogate:
     def test_single_point_degenerate(self):
         with pytest.raises(SurrogateDegeneracy):
             fit_surrogate(np.array([[0.5, 0.5]]), np.array([1.0]))
+
+    def test_duplicated_rows_beside_a_distinct_row_fit(self):
+        # the kernel block is singular, so the ridge attempt solves it
+        pts = np.array([[0.3], [0.3], [0.3], [0.8]])
+        sur = fit_surrogate(pts, np.array([1.0, 1.0, 1.0, 2.0]))
+        np.testing.assert_allclose(sur.predict(pts[2:]), [1.0, 2.0], atol=1e-6)
+
+    def test_all_equal_rows_degenerate(self):
+        with pytest.raises(SurrogateDegeneracy):
+            fit_surrogate(np.full((4, 2), 0.3), np.array([0.0, 1.0, 2.0, 3.0]))
 
     def test_interpolation_random(self, rng):
         pts = rng.random((20, 2))
@@ -294,6 +305,34 @@ class TestTurboLite:
         assert res.stopped_early
         assert res.evaluations_used == 10
         assert len(calls) == 10
+
+
+class TestAskTell:
+    @pytest.mark.parametrize("kind", ["random_search", "turbo_lite"])
+    def test_driving_the_machine_by_hand_equals_minimize(self, kind):
+        # the machine asks for blocks; telling each block's values as one
+        # array gives the result of minimize on the scalar objective
+        config = OptimizerConfig(kind=kind, budget=70, seed=4)
+        machine = searcher(5, config)
+        asked = []
+        try:
+            points = next(machine)
+            while True:
+                asked.append(len(points))
+                points = machine.send(np.array([sphere5(p) - 0.02 for p in points]))
+        except StopIteration as done:
+            result = done.value
+        expected = minimize(lambda p: sphere5(p) - 0.02, 5, config)
+        assert [r.value for r in result.history] == [r.value for r in expected.history]
+        assert result.evaluations_used == expected.evaluations_used
+        assert result.restarts == expected.restarts
+        assert max(asked) <= optimizers.MAX_BLOCK
+        assert sum(asked) >= result.evaluations_used
+
+    def test_checks_run_at_the_first_ask(self):
+        machine = searcher(5, OptimizerConfig(kind="turbo_lite", budget=5, seed=0))
+        with pytest.raises(ValueError):
+            next(machine)
 
 
 class TestResultInvariants:
