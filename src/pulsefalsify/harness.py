@@ -25,7 +25,7 @@ import numpy as np
 from .falsification import (
     FreeMask, ParamSpace, PulseParam, build_param_space, decode_batch, monitor_batch, trace_batch,
 )
-from .optimizers import MAX_BLOCK, OptimizerConfig, searcher
+from .optimizers import MAX_BLOCK, OptimizerConfig, as_integer, searcher
 from .systems import Benchmark
 
 __all__ = [
@@ -68,10 +68,9 @@ class ExperimentConfig:
     parallelism: int = 1  # validated (>= 1) but unused: cells run serially
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        object.__setattr__(self, "repetitions", as_integer("repetitions", self.repetitions, 1))
+        object.__setattr__(self, "budget", as_integer("budget", self.budget, 1))
+        object.__setattr__(self, "base_seed", as_integer("base_seed", self.base_seed))
         if not self.mask_labels:
             raise ValueError("mask list must be non-empty")
         if self.parallelism < 1:

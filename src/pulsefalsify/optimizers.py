@@ -17,7 +17,11 @@ Both stop as soon as an evaluation goes negative; non-finite objective
 values are recorded as +inf and the search continues.  Both score their
 points in blocks of 1, 2, 4, ..., ``MAX_BLOCK``, ``MAX_BLOCK``, ... rows and
 record them in order up to the first negative value; every point of a block
-is drawn before the block is scored, so blocks never change a result.
+is drawn before the block is scored, so blocks never change a result.  A
+search keeps its scored points and values in two arrays that grow by
+doubling, and turbo_lite reads its phase as slices of them; the
+:class:`EvalRecord` history is built once, when the search ends, from a copy
+of the rows used, so no record keeps a working array alive.
 
 Each optimizer is an ask/tell machine (the interface of Hansen, "The CMA
 Evolution Strategy: A Tutorial", arXiv:1604.00772): :func:`searcher` returns
@@ -29,7 +33,9 @@ once can score all their pending blocks together.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +58,21 @@ __all__ = [
 # lockstep campaign simulates at once; the systems' row-independence test
 # checks blocks of this size.
 MAX_BLOCK = 64
+# Rows a search's point and value arrays hold before they first grow: most
+# searches of a mask sweep stop within a few evaluations.
+_FIRST_CAPACITY = 16
+
+
+def as_integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a Python int, if it is an integer (a Python or numpy
+    one) of at least ``minimum``; otherwise ValueError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,7 +80,8 @@ class OptimizerConfig:
     """Settings shared by both optimizer kinds.
 
     ``init_samples=None`` means "twice the dimension", resolved when the
-    search starts.
+    search starts.  ``budget``, ``init_samples`` and ``seed`` must be
+    integers (numpy ones are stored as Python ints), and ``seed`` >= 0.
     """
 
     kind: str = "turbo_lite"
@@ -70,10 +92,11 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("random_search", "turbo_lite"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.init_samples is not None and self.init_samples < 1:
-            raise ValueError("init_samples must be >= 1")
+        object.__setattr__(self, "budget", as_integer("budget", self.budget, 1))
+        if self.init_samples is not None:
+            object.__setattr__(self, "init_samples",
+                               as_integer("init_samples", self.init_samples, 1))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed, 0))
 
     def resolve(self, dim: int) -> "OptimizerConfig":
         """Fill in the dimension-dependent default of ``init_samples``."""
@@ -127,16 +150,17 @@ def latin_hypercube(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 class _Budget:
     """Evaluation bookkeeping with stop-on-negative: the one place that
-    asks for points to be scored."""
+    asks for points to be scored.  The scored points and their values are
+    kept in two arrays that grow by doubling, and ``points[:used]`` and
+    ``values[:used]`` are the search so far."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, dim: int):
         self.budget = budget
-        self.history: list[EvalRecord] = []
+        capacity = min(budget, _FIRST_CAPACITY)
+        self.points = np.empty((capacity, dim))
+        self.values = np.empty(capacity)
+        self.used = 0
         self.negative = False
-
-    @property
-    def used(self) -> int:
-        return len(self.history)
 
     @property
     def exhausted(self) -> bool:
@@ -149,30 +173,50 @@ class _Budget:
         it until the size stops at ``MAX_BLOCK``."""
         return min(self.used + 1, MAX_BLOCK, self.budget - self.used)
 
+    def _reserve(self, rows: int) -> None:
+        capacity = len(self.values)
+        if rows > capacity:
+            capacity = min(max(rows, 2 * capacity), self.budget)
+            points, values = self.points, self.values
+            self.points = np.empty((capacity, points.shape[1]))
+            self.values = np.empty(capacity)
+            self.points[:self.used] = points[:self.used]
+            self.values[:self.used] = values[:self.used]
+
     def evaluate(self, points: np.ndarray):
         """Yield (k, dim) points in blocks, receive each block's values and
         record them in order, up to the first negative value or the end of
         the budget; the values of any later points are discarded.  The
         values may be a lazy iterable, which is not read past the first
         negative value."""
+        # a copy: a caller may keep a block, which must not pin turbo's candidates
         points = np.array(points, dtype=float)
         start = 0
         while start < len(points) and not self.exhausted:
             chunk = points[start:start + self.block]
             start += len(chunk)
             values = yield chunk
-            for point, value in zip(chunk, values):
+            first = self.used
+            self._reserve(first + len(chunk))
+            for value in itertools.islice(values, len(chunk)):
                 value = float(value) if math.isfinite(value) else math.inf
-                self.history.append(EvalRecord(point=point, value=value, index=self.used + 1))
+                self.values[self.used] = value
+                self.used += 1
                 if value < 0:
                     self.negative = True
                     break
+            self.points[first:self.used] = chunk[:self.used - first]
 
     def result(self) -> OptimizationResult:
-        best = min(self.history, key=lambda r: (r.value, r.index))
+        """The search so far.  Its records are built here from a copy of
+        the used rows, so none of them keeps a working array alive."""
+        points = self.points[:self.used].copy()
+        values = self.values[:self.used].tolist()
+        history = [EvalRecord(point=point, value=value, index=index)
+                   for index, (point, value) in enumerate(zip(points, values), 1)]
         return OptimizationResult(
-            best=best,
-            history=self.history,
+            best=history[values.index(min(values))],  # the first of equal values
+            history=history,
             stopped_early=self.negative,
             evaluations_used=self.used,
         )
@@ -193,7 +237,7 @@ def random_search(objective, dim: int, config: OptimizerConfig,
 
 def _random_search(dim: int, config: OptimizerConfig):
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(config.budget)
+    tracker = _Budget(config.budget, dim)
     while not tracker.exhausted:
         yield from tracker.evaluate(rng.random((tracker.block, dim)))
     return tracker.result()
@@ -209,21 +253,37 @@ class RbfSurrogate:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _distances(x, self.points) ** 3 @ self.weights + self.tail[0] + x @ self.tail[1:]
+        phi = _distances(x, self.points)
+        np.power(phi, 3, out=phi)
+        return phi @ self.weights + self.tail[0] + x @ self.tail[1:]
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of x (m, dim) and y (n, dim).
 
     The squared differences are summed one coordinate at a time into an
-    (m, n) array, so no (m, n, dim) array is built.  Up to dim 7 the sums
-    run in the order ``np.linalg.norm`` uses, and the result equals it bit
-    for bit; the diagonal of ``_distances(x, x)`` is exactly 0.
+    (m, n) array, with one (m, n) scratch array, so no (m, n, dim) array is
+    built.  Up to dim 7 the sums run in the order ``np.linalg.norm`` uses,
+    and the result equals it bit for bit; the diagonal of
+    ``_distances(x, x)`` is exactly 0.
+
+    A coordinate's differences are the rank-2 product [x_d, 1] @ [1, -y_d],
+    which BLAS forms faster than numpy broadcasts a subtraction.  Both
+    products in each entry are exact, so in double arithmetic the entry is
+    one rounding of x_d - y_d, in any summation order: the subtraction's
+    own bits, up to the sign of a zero, which the square drops.
     """
-    squared = (x[:, 0, None] - y[None, :, 0]) ** 2
-    for d in range(1, x.shape[1]):
-        squared += (x[:, d, None] - y[None, :, d]) ** 2
-    return np.sqrt(squared)
+    left, right = np.ones((len(x), 2)), np.ones((2, len(y)))
+    squared, term = np.empty((len(x), len(y))), np.empty((len(x), len(y)))
+    for d in range(x.shape[1]):
+        left[:, 0] = x[:, d]
+        np.negative(y[:, d], out=right[1])
+        out = term if d else squared
+        np.matmul(left, right, out=out)
+        np.square(out, out=out)
+        if d:
+            squared += term
+    return np.sqrt(squared, out=squared)
 
 
 def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
@@ -235,18 +295,20 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     n, dim = points.shape
-    if n < 2 or np.all(points == points[0]):
+    if n < 2 or (points == points[0]).all():
         raise SurrogateDegeneracy("need at least 2 distinct points")
-    if np.ptp(values) == 0.0:
+    if values.max() - values.min() == 0.0:
         raise SurrogateDegeneracy("all objective values identical")
-    phi = _distances(points, points) ** 3
-    poly = np.hstack([np.ones((n, 1)), points])
+    # [[phi, 1, x], [(1, x)^T, 0]] beside the right-hand side [values, 0]
     size = n + dim + 1
-    a = np.zeros((size, size))
-    a[:n, :n] = phi
-    a[:n, n:] = poly
-    a[n:, :n] = poly.T
-    rhs = np.concatenate([values, np.zeros(dim + 1)])
+    system = np.zeros((size, size + 1))
+    a, rhs = system[:, :size], system[:, size]
+    phi = _distances(points, points)  # a contiguous block is faster to fill than a[:n, :n]
+    a[:n, :n] = np.power(phi, 3, out=phi)
+    a[:n, n] = 1.0
+    a[:n, n + 1:] = points
+    a[n:, :n] = a[:n, n:].T
+    rhs[:n] = values
     for attempt in range(2):
         if attempt:
             a[:n, :n] += 1e-8 * np.eye(n)  # the ridge, on the second attempt only
@@ -254,7 +316,7 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
             sol = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.isfinite(sol)):
+        if np.isfinite(sol).all():
             return RbfSurrogate(points, sol[:n], sol[n:])
     raise SurrogateDegeneracy("surrogate system is singular")
 
@@ -286,7 +348,7 @@ def _turbo_lite(dim: int, config: OptimizerConfig):
             f"budget {config.budget} smaller than init_samples {config.init_samples}"
         )
     rng = np.random.default_rng(config.seed)
-    tracker = _Budget(config.budget)
+    tracker = _Budget(config.budget, dim)
     n_cand = min(_CANDIDATES_PER_DIM * dim, _CANDIDATES_CAP)
     phase_start = 0
     yield from tracker.evaluate(latin_hypercube(config.init_samples, dim, rng))
@@ -294,25 +356,28 @@ def _turbo_lite(dim: int, config: OptimizerConfig):
     successes = failures = 0
     restarts = fits = degenerate = 0
     while not tracker.exhausted:
-        phase = tracker.history[phase_start:]
-        incumbent = min(phase, key=lambda rec: (rec.value, rec.index))
-        points = np.stack([rec.point for rec in phase])
-        values = np.array([rec.value for rec in phase])
+        points = tracker.points[phase_start:tracker.used]
+        values = tracker.values[phase_start:tracker.used]
+        best = int(values.argmin())  # the first of equal values
+        incumbent, incumbent_value = points[best], values[best]
+        if values.max() == math.inf:  # the fit sees the finite values only
+            finite = np.isfinite(values)
+            points, values = points[finite], values[finite]
         fits += 1
         try:
-            surrogate = fit_surrogate(points[np.isfinite(values)], values[np.isfinite(values)])
+            surrogate = fit_surrogate(points, values)
         except SurrogateDegeneracy:
             surrogate = None
             degenerate += 1
-        lo = np.clip(incumbent.point - side / 2, 0.0, 1.0)
-        hi = np.clip(incumbent.point + side / 2, 0.0, 1.0)
+        lo = np.clip(incumbent - side / 2, 0.0, 1.0)
+        hi = np.clip(incumbent + side / 2, 0.0, 1.0)
         candidates = lo + rng.random((n_cand, dim)) * (hi - lo)
         if surrogate is not None:
-            pick = candidates[int(np.argmin(surrogate.predict(candidates)))]
+            pick = candidates[int(surrogate.predict(candidates).argmin())]
         else:
             pick = candidates[0]
         yield from tracker.evaluate(pick[None])
-        if tracker.history[-1].value < incumbent.value:
+        if tracker.values[tracker.used - 1] < incumbent_value:
             successes += 1
             failures = 0
         else:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from pulsefalsify import harness
@@ -88,6 +89,21 @@ class TestRunExperiment:
             self.make_config(mask_labels=("W-L", "L-W"))
         with pytest.raises(ValueError, match="twice"):
             self.make_config(mask_labels=("W", "w"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 10.5), ("repetitions", 2.5), ("base_seed", 1.5),
+    ])
+    def test_non_integer_settings_rejected(self, field, value):
+        # a float budget once failed only in the cells whose search asked
+        # for a block after its first, as error records mid-sweep
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.make_config(**{field: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        config = self.make_config(repetitions=np.int64(1), budget=np.int32(10),
+                                  base_seed=np.int64(-3), mask_labels=("W",))
+        assert run_experiment(config) == run_experiment(
+            self.make_config(repetitions=1, budget=10, base_seed=-3, mask_labels=("W",)))
 
     def test_mask_labels_stored_canonical(self):
         config = self.make_config(mask_labels=("w", "W-l", "d-P-L"))

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from pulsefalsify import optimizers
 from pulsefalsify.optimizers import (
+    EvalRecord,
+    OptimizationResult,
     OptimizerConfig,
     SurrogateDegeneracy,
     fit_surrogate,
@@ -365,3 +368,253 @@ class TestResultInvariants:
             OptimizerConfig(kind="cma_es")
         with pytest.raises(ValueError):
             OptimizerConfig(budget=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget", 10.5, "budget must be an integer"),
+        ("init_samples", 2.5, "init_samples must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_settings_that_would_fail_at_the_first_ask_are_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptimizerConfig(kind="turbo_lite", **{field: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        config = OptimizerConfig(budget=np.int64(30), init_samples=np.int32(4), seed=np.uint8(3))
+        assert (config.budget, config.init_samples, config.seed) == (30, 4, 3)
+        assert all(type(v) is int for v in (config.budget, config.init_samples, config.seed))
+
+
+# The surrogate as it was written before it accumulated in place: the
+# distances as the square root of summed broadcast squares, the kernel as
+# ``** 3`` and the system from ``np.hstack`` and ``np.concatenate``.
+
+def old_distances(x, y):
+    squared = (x[:, 0, None] - y[None, :, 0]) ** 2
+    for d in range(1, x.shape[1]):
+        squared += (x[:, d, None] - y[None, :, d]) ** 2
+    return np.sqrt(squared)
+
+
+def old_fit(points, values):
+    """(weights, tail) of the interpolant, or SurrogateDegeneracy."""
+    n, dim = points.shape
+    if n < 2 or np.all(points == points[0]):
+        raise SurrogateDegeneracy("need at least 2 distinct points")
+    if np.ptp(values) == 0.0:
+        raise SurrogateDegeneracy("all objective values identical")
+    phi = old_distances(points, points) ** 3
+    poly = np.hstack([np.ones((n, 1)), points])
+    size = n + dim + 1
+    a = np.zeros((size, size))
+    a[:n, :n] = phi
+    a[:n, n:] = poly
+    a[n:, :n] = poly.T
+    rhs = np.concatenate([values, np.zeros(dim + 1)])
+    for attempt in range(2):
+        if attempt:
+            a[:n, :n] += 1e-8 * np.eye(n)
+        try:
+            sol = np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(sol)):
+            return sol[:n], sol[n:]
+    raise SurrogateDegeneracy("surrogate system is singular")
+
+
+def old_predict(points, weights, tail, x):
+    return old_distances(x, points) ** 3 @ weights + tail[0] + x @ tail[1:]
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestSurrogateBits:
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_in_place_forms_equal_the_old_formulas(self, dim, rng):
+        points, values = rng.random((23, dim)), rng.normal(size=23)
+        candidates = rng.random((57, dim))
+        assert_same_bits(optimizers._distances(candidates, points), old_distances(candidates, points))
+        assert_same_bits(optimizers._distances(points, points), old_distances(points, points))
+        surrogate = fit_surrogate(points, values)
+        weights, tail = old_fit(points, values)
+        assert_same_bits(surrogate.weights, weights)
+        assert_same_bits(surrogate.tail, tail)
+        assert_same_bits(surrogate.predict(candidates), old_predict(points, weights, tail, candidates))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_distances_equal_the_subtraction_on_any_floats(self, dim, rng):
+        # signs, magnitudes from 1e-300 to 1e300 (overflowing squares),
+        # subnormals, exact zeros of both signs and repeated rows
+        def floats(rows):
+            a = rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-300, 300, size=(rows, dim))
+            a[rng.random((rows, dim)) < 0.1] = 0.0
+            a[rng.random((rows, dim)) < 0.1] = -0.0
+            a[rng.random((rows, dim)) < 0.05] = 5e-324
+            return a
+        x, y = floats(41), floats(17)
+        x[:5], y[5:9] = y[:5], x[10:14]
+        x[20] = x[21] = 1.0 + np.arange(dim) * 2.0 ** -52
+        y[0] = 1.0
+        with np.errstate(over="ignore"):
+            assert_same_bits(optimizers._distances(x, y), old_distances(x, y))
+            assert_same_bits(optimizers._distances(x, x), old_distances(x, x))
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_ridged_fit_equals_the_old_formulas(self, dim, rng):
+        # a repeated row makes the kernel block singular
+        points = rng.random((12, dim))
+        points[5] = points[2]
+        values = rng.normal(size=12)
+        values[5] = values[2]
+        surrogate = fit_surrogate(points, values)
+        weights, tail = old_fit(points, values)
+        assert_same_bits(surrogate.weights, weights)
+        assert_same_bits(surrogate.tail, tail)
+
+
+def reference_turbo_lite(objective, dim, config):
+    """turbo_lite as it was before a search kept its points and values in
+    growing arrays: the history is a list of EvalRecords, each step
+    restacks its phase from them, and the surrogate is the old one above.
+    The objective is called point by point."""
+    config = config.resolve(dim)
+    rng = np.random.default_rng(config.seed)
+    history = []
+
+    def exhausted():
+        return len(history) >= config.budget or bool(history) and history[-1].value < 0
+
+    def evaluate(points):
+        for point in np.array(points, dtype=float):
+            if exhausted():
+                return
+            value = objective(point)
+            value = float(value) if math.isfinite(value) else math.inf
+            history.append(EvalRecord(point=point, value=value, index=len(history) + 1))
+
+    n_cand = min(optimizers._CANDIDATES_PER_DIM * dim, optimizers._CANDIDATES_CAP)
+    phase_start = 0
+    evaluate(latin_hypercube(config.init_samples, dim, rng))
+    side = optimizers._TR_INITIAL
+    successes = failures = 0
+    restarts = fits = degenerate = 0
+    while not exhausted():
+        phase = history[phase_start:]
+        incumbent = min(phase, key=lambda rec: (rec.value, rec.index))
+        points = np.stack([rec.point for rec in phase])
+        values = np.array([rec.value for rec in phase])
+        fits += 1
+        finite_points = points[np.isfinite(values)]
+        try:
+            weights, tail = old_fit(finite_points, values[np.isfinite(values)])
+        except SurrogateDegeneracy:
+            weights = None
+            degenerate += 1
+        lo = np.clip(incumbent.point - side / 2, 0.0, 1.0)
+        hi = np.clip(incumbent.point + side / 2, 0.0, 1.0)
+        candidates = lo + rng.random((n_cand, dim)) * (hi - lo)
+        if weights is not None:
+            pick = candidates[int(np.argmin(old_predict(finite_points, weights, tail, candidates)))]
+        else:
+            pick = candidates[0]
+        evaluate(pick[None])
+        if history[-1].value < incumbent.value:
+            successes += 1
+            failures = 0
+        else:
+            failures += 1
+            successes = 0
+        if successes >= optimizers._SUCCESS_TOLERANCE:
+            side = min(2.0 * side, optimizers._TR_MAX)
+            successes = 0
+        if failures >= dim:
+            side = side / 2.0
+            failures = 0
+        if side < optimizers._TR_MIN:
+            side = optimizers._TR_INITIAL
+            successes = failures = 0
+            restarts += 1
+            phase_start = len(history)
+            evaluate(latin_hypercube(config.init_samples, dim, rng))
+    return OptimizationResult(
+        best=min(history, key=lambda rec: (rec.value, rec.index)), history=history,
+        stopped_early=history[-1].value < 0, evaluations_used=len(history),
+        restarts=restarts, surrogate_fits=fits, degenerate_fits=degenerate,
+    )
+
+
+def drive_by_hand(machine, objective):
+    """Run an ask/tell machine, scoring each asked block row by row."""
+    try:
+        points = next(machine)
+        while True:
+            points = machine.send(np.array([objective(p) for p in points]))
+    except StopIteration as done:
+        return done.value
+
+
+def counting(objective, negative_at):
+    """``objective`` whose call number ``negative_at`` returns -0.25."""
+    calls = []
+
+    def counted(p):
+        calls.append(1)
+        return -0.25 if len(calls) == negative_at else objective(p)
+
+    return counted
+
+
+TURBO_BUDGETS = {1: 60, 2: 60, 5: 120, 10: 200}
+
+
+class TestTurboLiteAgainstReference:
+    @pytest.mark.parametrize("dim", sorted(TURBO_BUDGETS))
+    @pytest.mark.parametrize("name", ["sphere", "constant", "nan_region", "negative_mid_run"])
+    def test_same_result_as_the_reference_loop(self, name, dim):
+        budget = TURBO_BUDGETS[dim]
+        make = {
+            "sphere": lambda: sphere5,
+            "constant": lambda: lambda p: 1.0,
+            "nan_region": lambda: sphere_with_nan_region,
+            "negative_mid_run": lambda: counting(lambda p: sphere5(p) + 0.01, budget // 2),
+        }[name]
+        config = OptimizerConfig(kind="turbo_lite", budget=budget, seed=dim)
+        got = drive_by_hand(searcher(dim, config), make())
+        expected = reference_turbo_lite(make(), dim, config)
+        assert len(got.history) == len(expected.history) == got.evaluations_used
+        for rec, ref in zip(got.history, expected.history):
+            assert_same_bits(rec.point, ref.point)
+            assert (rec.value, rec.index) == (ref.value, ref.index)
+        assert got.best.index == expected.best.index and got.best.value == expected.best.value
+        assert_same_bits(got.best.point, expected.best.point)
+        assert (got.stopped_early, got.evaluations_used, got.restarts, got.surrogate_fits,
+                got.degenerate_fits) == (
+            expected.stopped_early, expected.evaluations_used, expected.restarts,
+            expected.surrogate_fits, expected.degenerate_fits)
+        # each case reaches what it is there for
+        if name in ("sphere", "constant"):
+            assert got.restarts >= 1
+        if name == "constant":
+            assert got.degenerate_fits == got.surrogate_fits > 0
+        if name == "nan_region":
+            assert math.inf in [rec.value for rec in got.history]
+        if name == "negative_mid_run":
+            assert got.stopped_early and got.evaluations_used == budget // 2
+
+
+class TestResultOwnership:
+    @pytest.mark.parametrize("kind", ["random_search", "turbo_lite"])
+    def test_records_keep_only_the_used_rows_alive(self, kind):
+        # 37 evaluations: the working arrays hold 64 rows by then, and a
+        # turbo candidate block 500
+        dim = 5
+        result = minimize(counting(sphere5, 37), dim,
+                          OptimizerConfig(kind=kind, budget=1000, seed=1))
+        assert result.evaluations_used == 37
+        for point in [result.best.point] + [rec.point for rec in result.history]:
+            assert point.base is None or point.base.nbytes <= result.evaluations_used * dim * 8
