@@ -9,6 +9,9 @@ Two quantitative semantics are provided:
   magnitude reflects how many operands fail and by how much.  The sign
   always agrees with the classic semantics.
 
+Each semantics has one conjunction, and ``or``, ``->`` and ``ev`` are its
+duals.
+
 Grammar (ASCII, whitespace-insensitive)::
 
     formula := "not" formula | formula "and" formula | formula "or" formula
@@ -22,6 +25,7 @@ Grammar (ASCII, whitespace-insensitive)::
                using "+", "-" and scalar "*"
 
 Precedence: not > and > or > "->"; temporal operators bind like "not".
+Numbers must be finite, and so must the atoms folded from them.
 """
 
 from __future__ import annotations
@@ -291,11 +295,17 @@ class _Parser:
         if self.peek().value == "-":
             self.next()
             sign = -1.0
+        return sign * self.parse_literal()
+
+    def parse_literal(self) -> float:
         tok = self.peek()
         if tok.kind != "num":
             raise self.error(f"expected number, found {tok.value!r}")
+        value = float(tok.value)
+        if not math.isfinite(value):
+            raise self.error(f"number {tok.value} is not finite")
         self.next()
-        return sign * float(tok.value)
+        return value
 
     def parse_primary(self) -> Formula:
         tok = self.peek()
@@ -329,6 +339,9 @@ class _Parser:
             coeffs[name] = coeffs.get(name, 0.0) - sign * c
         constant = sign * (lhs_const - rhs_const)
         text = " ".join(t.value for t in self.tokens[start : self.pos])
+        if not all(map(math.isfinite, (constant, *coeffs.values()))):
+            first = self.tokens[start]
+            raise ParseError(f"atom {text!r} overflows to a non-finite number", first.line, first.column)
         return Atom(
             coeffs=tuple(sorted((n, c) for n, c in coeffs.items() if c != 0.0)),
             constant=constant,
@@ -356,8 +369,7 @@ class _Parser:
     def parse_term(self) -> tuple[str | None, float]:
         tok = self.peek()
         if tok.kind == "num":
-            self.next()
-            value = float(tok.value)
+            value = self.parse_literal()
             if self.peek().value == "*":
                 self.next()
                 ident = self.peek()
@@ -394,6 +406,8 @@ def parse(text: str) -> Formula:
 
 
 def _interval_steps(a: float, b: float, dt: float) -> tuple[int, int]:
+    if not math.isfinite(b / dt):
+        raise ValueError(f"interval [{a}, {b}] is not finite on the grid (dt={dt})")
     lo = int(math.ceil(a / dt - _GRID_TOL))
     hi = int(math.floor(b / dt + _GRID_TOL))
     if hi < lo:
@@ -401,25 +415,14 @@ def _interval_steps(a: float, b: float, dt: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _window_sum(x: np.ndarray, w: int) -> np.ndarray:
-    c = np.concatenate((np.zeros((len(x), 1)), np.cumsum(x, axis=1)), axis=1)
-    return c[:, w:] - c[:, :-w]
-
-
-def _combine_and(stack: np.ndarray, additive: bool) -> np.ndarray:
+def _conj(values: np.ndarray, axis: int, additive: bool) -> np.ndarray:
+    """Conjunction of ``values`` along ``axis``: their minimum, or in additive
+    semantics the minimum where it is positive and the sum of the negative
+    values elsewhere.  Every disjunction is its dual, ``-_conj(-values)``."""
+    low = values.min(axis=axis)
     if not additive:
-        return stack.min(axis=0)
-    vmin = stack.min(axis=0)
-    negsum = np.clip(stack, None, 0.0).sum(axis=0)
-    return np.where(vmin > 0, vmin, negsum)
-
-
-def _combine_or(stack: np.ndarray, additive: bool) -> np.ndarray:
-    if not additive:
-        return stack.max(axis=0)
-    vmax = stack.max(axis=0)
-    possum = np.clip(stack, 0.0, None).sum(axis=0)
-    return np.where(vmax < 0, vmax, possum)
+        return low
+    return np.where(low > 0, low, np.minimum(values, 0.0).sum(axis=axis))
 
 
 def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int, additive: bool) -> np.ndarray:
@@ -439,14 +442,11 @@ def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int, additive: bool
             hold_negsum += np.minimum(left_d, 0.0)
         if d < lo:
             continue
-        right_d = right[:, d : d + n_out]
-        if additive:
-            held = np.where(hold > 0, hold, hold_negsum)
-            cand = _combine_and(np.stack([right_d, held]), True)
-            possum += np.maximum(cand, 0.0)
-        else:
-            cand = np.minimum(right_d, hold)
+        held = np.where(hold > 0, hold, hold_negsum) if additive else hold
+        cand = _conj(np.stack([right[:, d : d + n_out], held]), 0, additive)
         best = np.maximum(best, cand)
+        if additive:
+            possum += np.maximum(cand, 0.0)
     if additive:
         return np.where(best < 0, best, possum)
     return best
@@ -457,35 +457,28 @@ def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: b
         return f.margin(channels)
     if isinstance(f, Not):
         return -_eval(f.child, channels, dt, additive)
-    if isinstance(f, (And, Or)):
-        parts = [_eval(c, channels, dt, additive) for c in f.children]
+    # a disjunction is the dual of the conjunction, -((not x) and (not y)),
+    # and x -> y is not (x and not y)
+    if isinstance(f, (And, Or, Implies)):
+        if isinstance(f, Implies):
+            parts = [_eval(f.left, channels, dt, additive), -_eval(f.right, channels, dt, additive)]
+        else:
+            parts = [_eval(c, channels, dt, additive) for c in f.children]
         m = min(p.shape[1] for p in parts)
         stack = np.stack([p[:, :m] for p in parts])
-        combine = _combine_and if isinstance(f, And) else _combine_or
-        return combine(stack, additive)
-    if isinstance(f, Implies):
-        left = _eval(f.left, channels, dt, additive)
-        right = _eval(f.right, channels, dt, additive)
-        m = min(left.shape[1], right.shape[1])
-        return _combine_or(np.stack([-left[:, :m], right[:, :m]]), additive)
+        if isinstance(f, And):
+            return _conj(stack, 0, additive)
+        if isinstance(f, Or):
+            stack = -stack
+        return -_conj(stack, 0, additive)
     if isinstance(f, (Always, Eventually)):
         child = _eval(f.child, channels, dt, additive)
         lo, hi = _interval_steps(f.a, f.b, dt)
-        w = hi - lo + 1
         if child.shape[1] < hi + 1:
             return np.empty((len(child), 0))
-        windows = sliding_window_view(child, w, axis=1)
         if isinstance(f, Always):
-            agg = windows.min(axis=2)
-            if additive:
-                negsum = _window_sum(np.clip(child, None, 0.0), w)
-                agg = np.where(agg > 0, agg, negsum)
-        else:
-            agg = windows.max(axis=2)
-            if additive:
-                possum = _window_sum(np.clip(child, 0.0, None), w)
-                agg = np.where(agg < 0, agg, possum)
-        return agg[:, lo:]
+            return _conj(sliding_window_view(child[:, lo:], hi - lo + 1, axis=1), 2, additive)
+        return -_conj(sliding_window_view(-child[:, lo:], hi - lo + 1, axis=1), 2, additive)
     if isinstance(f, Until):
         left = _eval(f.left, channels, dt, additive)
         right = _eval(f.right, channels, dt, additive)
@@ -494,6 +487,8 @@ def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: b
 
 
 def _t0_index(trace: Signal, t0: float) -> int:
+    if not math.isfinite(t0 / trace.dt):
+        raise ValueError(f"t0={t0} is not finite on the trace grid (dt={trace.dt})")
     idx = int(round(t0 / trace.dt))
     if abs(idx * trace.dt - t0) > _GRID_TOL * max(1.0, trace.end_time):
         raise ValueError(f"t0={t0} is not on the trace grid (dt={trace.dt})")

@@ -41,40 +41,60 @@ def atom_margin(f: Atom, trace: Signal, i: int) -> float:
     return value
 
 
-def brute_robustness(f: Formula, trace: Signal, i: int, memo=None) -> float:
-    """Classic robustness by direct recursion over grid indices."""
+def additive_and(values) -> float:
+    """Additive conjunction: the minimum if every value is positive, else the
+    sum of the negative values."""
+    values = np.asarray(values, dtype=float)
+    if np.all(values > 0):
+        return float(values.min())
+    return float(values[values < 0].sum())
+
+
+def additive_or(values) -> float:
+    """Additive disjunction: the maximum if every value is negative, else the
+    sum of the positive values."""
+    values = np.asarray(values, dtype=float)
+    if np.all(values < 0):
+        return float(values.max())
+    return float(values[values > 0].sum())
+
+
+def brute_robustness(f: Formula, trace: Signal, i: int, memo=None, additive: bool = False) -> float:
+    """Robustness by direct recursion over grid indices: classic min/max, or
+    with ``additive`` the sums of :func:`additive_and` and :func:`additive_or`."""
     if memo is None:
         memo = {}
     key = (id(f), i)
     if key in memo:
         return memo[key]
     dt = trace.dt
+    conj, disj = (additive_and, additive_or) if additive else (min, max)
+
+    def rho(g: Formula, k: int) -> float:
+        return brute_robustness(g, trace, k, memo, additive)
+
     if isinstance(f, Atom):
         value = atom_margin(f, trace, i)
     elif isinstance(f, Not):
-        value = -brute_robustness(f.child, trace, i, memo)
+        value = -rho(f.child, i)
     elif isinstance(f, And):
-        value = min(brute_robustness(c, trace, i, memo) for c in f.children)
+        value = conj([rho(c, i) for c in f.children])
     elif isinstance(f, Or):
-        value = max(brute_robustness(c, trace, i, memo) for c in f.children)
+        value = disj([rho(c, i) for c in f.children])
     elif isinstance(f, Implies):
-        value = max(
-            -brute_robustness(f.left, trace, i, memo),
-            brute_robustness(f.right, trace, i, memo),
-        )
+        value = disj([-rho(f.left, i), rho(f.right, i)])
     elif isinstance(f, Always):
         lo, hi = window_indices(f.a, f.b, dt)
-        value = min(brute_robustness(f.child, trace, i + j, memo) for j in range(lo, hi + 1))
+        value = conj([rho(f.child, i + j) for j in range(lo, hi + 1)])
     elif isinstance(f, Eventually):
         lo, hi = window_indices(f.a, f.b, dt)
-        value = max(brute_robustness(f.child, trace, i + j, memo) for j in range(lo, hi + 1))
+        value = disj([rho(f.child, i + j) for j in range(lo, hi + 1)])
     elif isinstance(f, Until):
         lo, hi = window_indices(f.a, f.b, dt)
-        best = -math.inf
-        for j in range(i + lo, i + hi + 1):
-            hold = min(brute_robustness(f.left, trace, k, memo) for k in range(i, j + 1))
-            best = max(best, min(brute_robustness(f.right, trace, j, memo), hold))
-        value = best
+        value = disj([
+            conj([rho(f.right, j), conj([rho(f.left, k) for k in range(i, j + 1)])])
+            for j in range(i + lo, i + hi + 1)
+        ])
     else:
         raise TypeError(f)
     memo[key] = value

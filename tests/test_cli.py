@@ -246,6 +246,18 @@ class TestMonitor:
         code = main(["monitor", "--spec", "y > 0", "--trace", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["--spec", "alw[0,1e400](y > 0)"], "number 1e400 is not finite (line 1, column 7)"),
+        (["--spec", "alw[0,1e308](y > 0)"], "interval [0.0, 1e+308] is not finite"),
+        (["--spec", "y > 0", "--t0", "inf"], "t0=inf is not finite"),
+        (["--spec", "y > 0", "--t0", "nan"], "t0=nan is not finite"),
+    ])
+    def test_non_finite_number_exits_2(self, ramp_trace, capsys, args, message):
+        assert main(["monitor", "--trace", ramp_trace, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+
     @pytest.mark.parametrize("text", ["", "time,x\n"])
     def test_trace_without_samples_exits_2(self, tmp_path, capsys, text):
         path = tmp_path / "short.csv"
@@ -306,6 +318,13 @@ class TestValidate:
                                     "specs": {"phi1": "alw[0,10](y5 - y4 <= 40)"}}))
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert "model 'chasing_cars' takes 2 input channel(s), got 1" in capsys.readouterr().err
+
+    def test_non_finite_spec_literal_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "lag_inf.json"
+        specs = {**LAG_DOC["specs"], "phi3": "alw[0,10](y <= 1e400)"}
+        path.write_text(json.dumps({**LAG_DOC, "specs": specs}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert "number 1e400 is not finite (line 1, column 16)" in capsys.readouterr().err
 
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

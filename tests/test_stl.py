@@ -1,9 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import boolean_eval, brute_robustness, random_formula, random_trace
+from conftest import (
+    additive_and,
+    additive_or,
+    boolean_eval,
+    brute_robustness,
+    random_formula,
+    random_trace,
+)
 
 from pulsefalsify.signals import Signal
 from pulsefalsify.stl import (
@@ -11,6 +19,7 @@ from pulsefalsify.stl import (
     And,
     Atom,
     Eventually,
+    Implies,
     Not,
     Or,
     ParseError,
@@ -91,6 +100,24 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("x > 0 )")
 
+    @pytest.mark.parametrize("text, column", [
+        ("alw[0,1e400](x > 0)", 7),
+        ("alw[0,10](y <= 1e400)", 16),
+        ("x > -1e999", 6),
+        ("1e400*x > 0", 1),
+        ("ev[0,1](x > 0) and\n  (y > 0 U[1e309,2e309] x > 0)", 12),
+    ])
+    def test_non_finite_literal_reports_its_position(self, text, column):
+        with pytest.raises(ParseError, match="not finite") as exc:
+            parse(text)
+        assert exc.value.column == column
+
+    @pytest.mark.parametrize("text", ["x > 1e308 + 1e308", "1e308*x + 1e308*x > 0"])
+    def test_atom_that_overflows_rejected(self, text):
+        with pytest.raises(ParseError, match="non-finite") as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (1, 1)
+
 
 class TestHorizon:
     def test_atom(self):
@@ -135,6 +162,15 @@ class TestClassicRobustness:
     def test_t0_shifts_evaluation(self):
         tr = ramp_trace()
         assert robustness(parse("y > 0"), tr, 0.5, "classic") == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_t0_rejected(self, t0):
+        with pytest.raises(ValueError, match=re.escape(f"t0={t0} is not finite")):
+            robustness(parse("y > 0"), ramp_trace(), t0, "classic")
+
+    def test_interval_past_the_largest_float_rejected(self):
+        with pytest.raises(ValueError, match="not finite on the grid"):
+            robustness(parse("alw[0,1e308](y > 0)"), ramp_trace(), 0.0, "classic")
 
     def test_negation_duality(self, rng):
         for _ in range(50):
@@ -211,6 +247,41 @@ class TestAdditiveRobustness:
             additive = robustness(f, tr, 0.0, "additive")
             assert np.sign(classic) == np.sign(additive)
 
+    @pytest.mark.parametrize("spec", ["alw[12,17](x < 0)", "ev[12,17](x > 0)"])
+    def test_window_sum_keeps_a_tiny_margin_after_a_huge_prefix(self, spec):
+        # 201 samples at dt=0.1: x is 1e6 before t=12, -1 in the window
+        # except 1e-12 at t=15, so the window holds one margin of +-1e-12
+        # and a difference of running sums over the prefix would lose it
+        x = np.full(201, -1.0)
+        x[:120] = 1e6
+        x[150] = 1e-12
+        tr = Signal(np.arange(201) * 0.1, (x,), ("x",))
+        f = parse(spec)
+        classic = robustness(f, tr, 0.0, "classic")
+        additive = robustness(f, tr, 0.0, "additive")
+        assert abs(classic) == 1e-12
+        assert np.sign(additive) == np.sign(classic)
+        assert additive == classic
+
+    def test_matches_additive_oracle(self, rng):
+        for _ in range(200):
+            tr = random_trace(rng, 80)
+            f = random_formula(rng, tr, 3, tr.end_time)
+            assert robustness(f, tr, 0.0, "additive") == pytest.approx(
+                brute_robustness(f, tr, 0, additive=True), rel=1e-9, abs=1e-9
+            )
+
+    @pytest.mark.parametrize("semantics", ["classic", "additive"])
+    def test_implies_matches_oracle(self, rng, semantics):
+        # random_formula draws no "->", so its two operands are drawn here
+        for _ in range(100):
+            tr = random_trace(rng, 60)
+            f = Implies(random_formula(rng, tr, 2, tr.end_time),
+                        random_formula(rng, tr, 2, tr.end_time))
+            assert robustness(f, tr, 0.0, semantics) == pytest.approx(
+                brute_robustness(f, tr, 0, additive=semantics == "additive"), rel=1e-9, abs=1e-9
+            )
+
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
             robustness(parse("y > 0"), ramp_trace(), 0.0, "fuzzy")
@@ -242,20 +313,6 @@ class TestUntil:
                 robustness(f, tr, 0.0, "classic"))
 
 
-def _additive_and_reference(values):
-    values = np.asarray(values, dtype=float)
-    if np.all(values > 0):
-        return float(values.min())
-    return float(values[values < 0].sum())
-
-
-def _additive_or_reference(values):
-    values = np.asarray(values, dtype=float)
-    if np.all(values < 0):
-        return float(values.max())
-    return float(values[values > 0].sum())
-
-
 def until_row_reference(left, right, lo, hi, additive):
     """The former per-instant Until loop, on one trace's 1-D operand values;
     the array evaluator must match it."""
@@ -265,9 +322,9 @@ def until_row_reference(left, right, lo, hi, additive):
         if additive:
             cands = []
             for j in range(i + lo, i + hi + 1):
-                hold = _additive_and_reference(left[i : j + 1]) if j > i else float(left[i])
-                cands.append(_additive_and_reference(np.array([right[j], hold])))
-            out[i] = _additive_or_reference(np.array(cands))
+                hold = additive_and(left[i : j + 1]) if j > i else float(left[i])
+                cands.append(additive_and(np.array([right[j], hold])))
+            out[i] = additive_or(np.array(cands))
         else:
             hold = math.inf
             best = -math.inf
