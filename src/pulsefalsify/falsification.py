@@ -268,7 +268,8 @@ def monitor_batch(benchmark: Benchmark, formula: stl.Formula, traces: np.ndarray
     values = np.full(len(traces), math.inf)
     if np.any(finite):
         names = benchmark.output_names + benchmark.input_names
-        channels = dict(zip(names, traces[finite].transpose(1, 0, 2)))
+        kept = traces if finite.all() else traces[finite]  # no copy when every row is finite
+        channels = dict(zip(names, kept.transpose(1, 0, 2)))
         values[finite] = stl.robustness_batch(formula, channels, benchmark.dt, semantics)
     return values
 

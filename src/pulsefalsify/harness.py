@@ -5,10 +5,13 @@ from the base seed and a stable hash of the cell key, so results are
 reproducible and independent of execution order.  The cells of one
 benchmark run in lockstep, in one thread: each is an ask/tell search, and
 at every step the pending points of all live searches, across specs, are
-decoded, simulated and monitored as one block, in chunks of at most
-``optimizers.MAX_BLOCK`` rows.  Rows never mix, so every search gets the
-values it would get alone.  ``ExperimentConfig.parallelism`` is accepted for
-compatibility and does not change how the cells run.
+decoded, simulated and monitored as one block, in the fewest chunks of
+near-equal size under a ceiling: as many rows as ``_CHUNK_SAMPLES`` trace
+samples hold, but at least ``optimizers.MAX_BLOCK``.  The ceiling bounds
+memory, not wasted work as ``MAX_BLOCK`` does for one search's block.  Rows
+never mix, so every search gets the values it would get alone.
+``ExperimentConfig.parallelism`` is accepted for compatibility and does not
+change how the cells run.
 """
 
 from __future__ import annotations
@@ -195,10 +198,32 @@ def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list
     return records
 
 
+# Trace samples in one scoring chunk, 2 MB of floats.  ``MAX_BLOCK`` caps one
+# search's block, so that it wastes little work past its first negative
+# value; a chunk shared by many searches wastes nothing by being wide, and
+# wider chunks pay numpy's per-call cost over more rows.  The trace memory
+# bounds it instead: 186 rows of cc, 648 of ss, about 1,290 of lag or dsm.
+_CHUNK_SAMPLES = 2**18
+
+
+def _chunk_rows(benchmark: Benchmark) -> int:
+    """The most rows one scoring chunk of ``benchmark`` holds."""
+    samples = (len(benchmark.output_names) + len(benchmark.inputs)) * len(benchmark.grid())
+    return max(MAX_BLOCK, _CHUNK_SAMPLES // samples)
+
+
+def _chunk_bounds(benchmark: Benchmark, rows: int) -> list[int]:
+    """Bounds of the fewest chunks of at most ``_chunk_rows`` rows that
+    ``rows`` rows split into, of near-equal sizes, so that no narrow tail
+    is left over."""
+    count = -(-rows // _chunk_rows(benchmark))
+    return [rows * i // count for i in range(count + 1)]
+
+
 def _score_blocks(benchmark: Benchmark, searches: list[_Search], semantics: str) -> np.ndarray:
     """The robustness values of the decoded blocks of several searches, in
-    order: their pulse fields are simulated together in chunks of at most
-    ``MAX_BLOCK`` rows, and each chunk is monitored as it is simulated, each
+    order: their pulse fields are simulated together in the chunks of
+    ``_chunk_bounds``, and each chunk is monitored as it is simulated, each
     row against its own search's spec."""
     fields = np.concatenate([search.fields for search in searches], axis=2)
     statics = {name: np.concatenate([search.statics[name] for search in searches])
@@ -206,8 +231,9 @@ def _score_blocks(benchmark: Benchmark, searches: list[_Search], semantics: str)
     specs = np.repeat([search.cell[1] for search in searches],
                       [len(search.asked) for search in searches])
     values = np.empty(len(specs))
-    for start in range(0, len(specs), MAX_BLOCK):
-        rows = slice(start, start + MAX_BLOCK)
+    bounds = _chunk_bounds(benchmark, len(specs))
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = slice(start, stop)
         traces = trace_batch(benchmark, fields[:, :, rows],
                              {name: v[rows] for name, v in statics.items()})
         for spec in dict.fromkeys(specs[rows]):

@@ -415,14 +415,23 @@ def _interval_steps(a: float, b: float, dt: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _conj(values: np.ndarray, axis: int, additive: bool) -> np.ndarray:
+def _conj(values: np.ndarray, axis: int, additive: bool, window: int | None = None) -> np.ndarray:
     """Conjunction of ``values`` along ``axis``: their minimum, or in additive
     semantics the minimum where it is positive and the sum of the negative
-    values elsewhere.  Every disjunction is its dual, ``-_conj(-values)``."""
+    values elsewhere.  With ``window``, the conjunction of every ``window``
+    consecutive values along ``axis`` instead; the negative parts are taken
+    before windowing, so no (B, m, window) array is built.  Every
+    disjunction is its dual, ``-_conj(-values)``."""
+    negative = np.minimum(values, 0.0) if additive else None
+    if window is not None:  # every run of ``window`` values, along a new last axis
+        values = sliding_window_view(values, window, axis=axis)
+        if additive:
+            negative = sliding_window_view(negative, window, axis=axis)
+        axis = -1
     low = values.min(axis=axis)
     if not additive:
         return low
-    return np.where(low > 0, low, np.minimum(values, 0.0).sum(axis=axis))
+    return np.where(low > 0, low, negative.sum(axis=axis))
 
 
 def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int, additive: bool) -> np.ndarray:
@@ -477,8 +486,8 @@ def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: b
         if child.shape[1] < hi + 1:
             return np.empty((len(child), 0))
         if isinstance(f, Always):
-            return _conj(sliding_window_view(child[:, lo:], hi - lo + 1, axis=1), 2, additive)
-        return -_conj(sliding_window_view(-child[:, lo:], hi - lo + 1, axis=1), 2, additive)
+            return _conj(child[:, lo:], 1, additive, hi - lo + 1)
+        return -_conj(-child[:, lo:], 1, additive, hi - lo + 1)
     if isinstance(f, Until):
         left = _eval(f.left, channels, dt, additive)
         right = _eval(f.right, channels, dt, additive)

@@ -137,7 +137,11 @@ class Benchmark:
         object.__setattr__(self, "spec_texts", dict(self.spec_texts))
         parsed = {}
         for spec_name, text in self.spec_texts.items():
-            formula = stl.parse(text)
+            try:
+                formula = stl.parse(text)
+            except stl.ParseError as exc:
+                exc.args = (f"spec {spec_name!r}: {exc}",)
+                raise
             if stl.horizon_of(formula) > self.horizon + 1e-9:
                 raise ValueError(
                     f"spec {spec_name!r} has horizon {stl.horizon_of(formula)} s "
@@ -179,14 +183,15 @@ class Benchmark:
 # traces time-major, which keeps the per-step indexing cheap.
 
 
-def _march(step, state: np.ndarray, n: int) -> np.ndarray:
+def _march(step, state: np.ndarray, n: int, kept: int | None = None) -> np.ndarray:
     """x_0 = ``state`` and x_{k+1} = ``step(k, x_k)`` for k < n - 1, stacked
-    along a leading time axis."""
-    out = np.empty((n,) + state.shape)
-    out[0] = state
+    along a leading time axis; only the first ``kept`` state rows, if given."""
+    rows = slice(kept)
+    out = np.empty((n,) + state[rows].shape)
+    out[0] = state[rows]
     for k in range(n - 1):
         state = step(k, state)
-        out[k + 1] = state
+        out[k + 1] = state[rows]
     return out
 
 
@@ -271,7 +276,7 @@ def _chasing_cars_numpy(p, u: np.ndarray, dt: float) -> np.ndarray:
     # State layout: (y1..y5, v1..v5).
     state = np.zeros((10, u.shape[0]))
     state[:5] = (np.array([4.0, 3.0, 2.0, 1.0, 0.0]) * d0)[:, None]
-    return _march(step, state, len(command))[:, :5].transpose(2, 1, 0)
+    return _march(step, state, len(command), kept=5).transpose(2, 1, 0)
 
 
 def _chasing_cars_floats(p, u: np.ndarray, dt: float) -> np.ndarray:
@@ -535,8 +540,14 @@ def load_benchmark(document: str) -> Benchmark:
 
 
 def load_benchmark_file(path) -> Benchmark:
+    """Load a benchmark configuration file; an error in it names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_benchmark(fh.read())
+        document = fh.read()
+    try:
+        return load_benchmark(document)
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def builtin_benchmark_names() -> list[str]:

@@ -326,6 +326,14 @@ class TestValidate:
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert "number 1e400 is not finite (line 1, column 16)" in capsys.readouterr().err
 
+    def test_spec_parse_error_names_the_spec_and_the_file(self, tmp_path, capsys):
+        path = tmp_path / "lag_inf.json"
+        path.write_text(json.dumps({**LAG_DOC, "specs": {**LAG_DOC["specs"],
+                                                         "phi3": "alw[0,10](y <= 1e400)"}}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: spec 'phi3': number 1e400 is not finite (line 1, column 16)\n")
+
     def test_broken_benchmark_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "x"}))

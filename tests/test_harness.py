@@ -18,7 +18,7 @@ from pulsefalsify.harness import (
     write_csvs,
     write_errors,
 )
-from pulsefalsify.optimizers import OptimizerConfig
+from pulsefalsify.optimizers import MAX_BLOCK, OptimizerConfig
 from pulsefalsify.systems import builtin_benchmark
 
 
@@ -256,6 +256,25 @@ class TestWriteCsvs:
         assert agg[1].endswith(",-")
 
 
+def record_chunks(monkeypatch) -> list[list[int]]:
+    """Record the row count of each chunk the harness simulates, one list
+    per lockstep step."""
+    steps = []
+    score_blocks = harness._score_blocks
+
+    def scoring(benchmark, searches, semantics):
+        steps.append([])
+        return score_blocks(benchmark, searches, semantics)
+
+    def tracing(benchmark, fields, statics):
+        steps[-1].append(fields.shape[2])
+        return trace_batch(benchmark, fields, statics)
+
+    monkeypatch.setattr(harness, "_score_blocks", scoring)
+    monkeypatch.setattr(harness, "trace_batch", tracing)
+    return steps
+
+
 class TestLockstep:
     """The cells of a benchmark run side by side, their pending points
     scored as one block; each record must be that of the cell run alone."""
@@ -267,22 +286,21 @@ class TestLockstep:
     def test_records_equal_per_cell_falsify(self, monkeypatch, optimizer, masks, reps, budget):
         # cc has two inputs, so these masks have dimension 2 to 10, and
         # phi2 falsifies early in some cells.  The live searches make blocks
-        # that cross the 16-row float/numpy switch and exceed the 64-row chunk.
-        chunks = []
-
-        def recording(benchmark, fields, statics):
-            chunks.append(fields.shape[2])
-            return trace_batch(benchmark, fields, statics)
-
-        monkeypatch.setattr(harness, "trace_batch", recording)
+        # that cross the 16-row float/numpy switch and exceed one search's
+        # 64-row block; a step wider than cc's ceiling splits in two.
+        steps = record_chunks(monkeypatch)
         config = ExperimentConfig(
             benchmarks=(builtin_benchmark("cc"),), spec_names=("phi1", "phi2"),
             mask_labels=masks, repetitions=reps, budget=budget, base_seed=0, optimizer=optimizer,
         )
         records = run_experiment(config)
         assert len(records) == 2 * len(masks) * reps
-        assert max(chunks) == 64 and min(chunks) < 16
+        ceiling = harness._chunk_rows(config.benchmarks[0])
+        chunks = [rows for step in steps for rows in step]
+        assert MAX_BLOCK < max(chunks) <= ceiling and min(chunks) < 16
         assert any(16 <= rows < 64 for rows in chunks)
+        for step in steps:  # the fewest chunks under the ceiling, of near-equal sizes
+            assert len(step) == -(-sum(step) // ceiling) and max(step) - min(step) <= 1
         assert any(r.falsified and r.sims < budget for r in records)
         assert any(not r.falsified for r in records)
         for r in records:
@@ -291,6 +309,26 @@ class TestLockstep:
             assert r.error is None
             assert (r.falsified, r.sims, r.best_robustness) == (
                 outcome.falsified, outcome.simulations_used, outcome.best_robustness)
+
+    def test_a_wide_step_fills_the_ceiling(self, monkeypatch):
+        # No input violates cc's phi1, so all 12 cells stay live: random
+        # search asks 1, 2, ..., 32 rows, then the last 31 of a budget of 94
+        steps = record_chunks(monkeypatch)
+        bench = builtin_benchmark("cc")
+        records = run_experiment(ExperimentConfig(
+            benchmarks=(bench,), spec_names=("phi1",), mask_labels=("W", "L-P", "L-P-W-H-D"),
+            repetitions=4, budget=94, optimizer="random_search"))
+        assert not any(r.falsified for r in records)
+        assert harness._chunk_rows(bench) == 186
+        assert steps == [[12], [24], [48], [96], [96, 96], [128, 128, 128], [186, 186]]
+
+    @pytest.mark.parametrize("name, ceiling", [("cc", 186), ("lag", 1297), ("dsm", 1285), ("ss", 648)])
+    def test_chunk_ceiling_bounds_the_trace_samples(self, name, ceiling):
+        # (outputs + inputs) * samples per row: 7 * 201 for cc, 2 * 101 for lag
+        bench = builtin_benchmark(name)
+        assert harness._chunk_rows(bench) == ceiling
+        assert harness._chunk_bounds(bench, ceiling) == [0, ceiling]
+        assert harness._chunk_bounds(bench, ceiling + 1) == [0, (ceiling + 1) // 2, ceiling + 1]
 
     def test_an_errored_cell_leaves_the_others(self):
         # turbo_lite needs 2*dim = 10 hypercube points on a 5-D mask, so

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from pulsefalsify.stl import (
     parse,
     robustness,
 )
-from pulsefalsify.stl import _until
+from pulsefalsify.stl import _eval, _until
 
 
 def ramp_trace():
@@ -281,6 +282,34 @@ class TestAdditiveRobustness:
             assert robustness(f, tr, 0.0, semantics) == pytest.approx(
                 brute_robustness(f, tr, 0, additive=semantics == "additive"), rel=1e-9, abs=1e-9
             )
+
+    @pytest.mark.parametrize("op, oracle", [("alw", additive_and), ("ev", additive_or)])
+    def test_windows_of_a_batch_match_the_oracle(self, rng, op, oracle):
+        # every instant of every row of a (B, n) child, in windows of w > 1
+        # samples, some of them past the 8 that numpy sums without pairing
+        for _ in range(20):
+            rows, n = rng.integers(1, 6), rng.integers(20, 120)
+            x = rng.normal(size=(rows, n))
+            x[rng.random((rows, n)) < 0.2] = 0.0
+            lo, hi = np.sort(rng.choice(n // 2, 2, replace=False))
+            values = _eval(parse(f"{op}[{lo},{hi}](x > 0)"), {"x": x}, 1.0, True)
+            assert values.shape == (rows, n - hi)
+            for b in range(rows):
+                for i in range(n - hi):
+                    assert values[b, i] == pytest.approx(oracle(x[b, i + lo : i + hi + 1]),
+                                                         rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("op", ["alw", "ev"])
+    def test_windows_build_no_array_of_every_window(self, op):
+        # 2,001 windows of 2,001 samples: their values alone would be 32 MB
+        x = np.random.default_rng(0).normal(size=(1, 4001))
+        tracemalloc.start()
+        try:
+            _eval(parse(f"{op}[0,2000](x > 0)"), {"x": x}, 1.0, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from pulsefalsify import harness
 from pulsefalsify.falsification import FreeMask, batch_objective, build_param_space
 from pulsefalsify.signals import Signal
+from pulsefalsify.stl import ParseError
 from pulsefalsify.systems import (
     _CC_FLOAT_ROWS,
     Benchmark,
@@ -270,6 +272,14 @@ class TestLoadBenchmark:
         doc["specs"]["phi"] = "alw[0,10]("
         with pytest.raises(Exception):
             load_benchmark(json.dumps(doc))
+
+    def test_spec_parse_error_names_the_spec(self):
+        doc = self.base_doc()
+        doc["specs"]["phi3"] = "alw[0,10](y <= 1e400)"
+        with pytest.raises(ParseError, match=re.escape(
+                "spec 'phi3': number 1e400 is not finite (line 1, column 16)")) as caught:
+            load_benchmark(json.dumps(doc))
+        assert (caught.value.line, caught.value.column) == (1, 16)
 
     def test_spec_horizon_exceeding_benchmark_rejected(self):
         doc = self.base_doc()
@@ -601,10 +611,13 @@ class TestBatchedModels:
     def test_row_independent_of_its_block(self, name, rng):
         # Witness replay scores one row alone, so a row of any block must be
         # the same bits as that row simulated alone or in a smaller block.
+        # The block is the widest chunk that a lockstep sweep simulates.
         bench = builtin_benchmark(name)
-        u, statics = random_block(bench, 64, rng, pieces=len(bench.grid()))
+        width = harness._chunk_rows(bench)
+        u, statics = random_block(bench, width, rng, pieces=len(bench.grid()))
         out = simulate_batch(bench, u, statics)
-        for rows in [slice(row, row + 1) for row in range(64)] + [slice(20, 25)]:
+        sample = [0, width - 1, *rng.choice(np.arange(1, width - 1), 6, replace=False)]
+        for rows in [slice(row, row + 1) for row in sample] + [slice(20, 25)]:
             part = simulate_batch(bench, u[rows], {k: v[rows] for k, v in statics.items()})
             np.testing.assert_array_equal(out[rows], part)
 
