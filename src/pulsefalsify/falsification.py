@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stl
-from .optimizers import OptimizerConfig, minimize
+from .optimizers import MAX_BLOCK, OptimizerConfig, minimize
 from .signals import PulseParams, pulse_values, scale_pulse
 from .systems import Benchmark, simulate_batch
 
@@ -32,8 +32,7 @@ __all__ = [
     "decode_batch",
     "batch_objective",
     "synthesize_batch",
-    "trace_batch",
-    "monitor_batch",
+    "score_blocks",
     "falsify",
     "evaluate_witness",
 ]
@@ -235,42 +234,77 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     the B robustness values of ``spec_name``; a row whose simulation
     diverged scores +inf.  Each value equals that of the point evaluated
     alone, and of :func:`evaluate_witness` on the point's decoded input.
+    An unknown ``spec_name`` raises ``KeyError`` here, not at the first call.
     """
-    formula = benchmark.specs[spec_name]
+    benchmark.specs[spec_name]
 
     def objective(points: np.ndarray) -> np.ndarray:
-        return _score(benchmark, formula, semantics, *decode_batch(points, space))
+        return score_blocks(benchmark, [(spec_name, *decode_batch(points, space))], semantics)
 
     return objective
 
 
-def _score(benchmark: Benchmark, formula: stl.Formula, semantics: str,
-           fields: np.ndarray, statics: dict[str, np.ndarray]) -> np.ndarray:
-    """The B robustness values of ``formula`` for decoded pulse ``fields``
-    (channels, 5, B) and static values ((B,) arrays); a row whose
-    simulation diverged scores +inf."""
-    return monitor_batch(benchmark, formula, trace_batch(benchmark, fields, statics), semantics)
+# Trace samples in one scoring chunk, 2 MB of floats.  ``MAX_BLOCK`` caps one
+# search's block, so that it wastes little work past its first negative
+# value; a chunk shared by many searches wastes nothing by being wide, and
+# wider chunks pay numpy's per-call cost over more rows.  The trace memory
+# bounds it instead: 186 rows of cc, 648 of ss, about 1,290 of lag or dsm.
+_CHUNK_SAMPLES = 2**18
 
 
-def trace_batch(benchmark: Benchmark, fields: np.ndarray,
-                statics: dict[str, np.ndarray]) -> np.ndarray:
-    """Synthesize and simulate decoded pulse ``fields`` (channels, 5, B):
-    traces of shape (B, outputs + inputs, n), outputs first."""
-    u = synthesize_batch(benchmark, fields)
-    return np.concatenate([simulate_batch(benchmark, u, statics), u], axis=1)
+def _chunk_rows(benchmark: Benchmark) -> int:
+    """The most rows one scoring chunk of ``benchmark`` holds."""
+    samples = (len(benchmark.output_names) + len(benchmark.inputs)) * len(benchmark.grid())
+    return max(MAX_BLOCK, _CHUNK_SAMPLES // samples)
 
 
-def monitor_batch(benchmark: Benchmark, formula: stl.Formula, traces: np.ndarray,
-                  semantics: str = "classic") -> np.ndarray:
-    """The robustness of ``formula`` on each of the (B, outputs + inputs, n)
-    ``traces``; a row with a non-finite sample scores +inf."""
-    finite = np.all(np.isfinite(traces), axis=(1, 2))
-    values = np.full(len(traces), math.inf)
-    if np.any(finite):
-        names = benchmark.output_names + benchmark.input_names
-        kept = traces if finite.all() else traces[finite]  # no copy when every row is finite
-        channels = dict(zip(names, kept.transpose(1, 0, 2)))
-        values[finite] = stl.robustness_batch(formula, channels, benchmark.dt, semantics)
+def _chunk_bounds(benchmark: Benchmark, rows: int) -> list[int]:
+    """Bounds of the fewest chunks of at most ``_chunk_rows`` rows that
+    ``rows`` rows split into, of near-equal sizes, so that no narrow tail
+    is left over.  A block no wider than one search's is one chunk, and the
+    ceiling is not worked out for it."""
+    count = 1 if rows <= MAX_BLOCK else -(-rows // _chunk_rows(benchmark))
+    return [rows * i // count for i in range(count + 1)]
+
+
+def score_blocks(benchmark: Benchmark, blocks, semantics: str = "classic") -> np.ndarray:
+    """The robustness values of the rows of ``blocks``, in order, each row
+    against its own block's spec; a row with a non-finite output or input
+    sample scores +inf.  Each block is a ``(spec name, fields, statics)``
+    triple as :func:`decode_batch` returns them, and every spec is looked up
+    before anything is simulated.  The rows are simulated together in the
+    chunks of :func:`_chunk_bounds`, each monitored as it is simulated.
+    Rows never mix, so every row gets the value it gets alone.
+    """
+    runs, rows = [], 0  # [formula, first row, end row] per run of blocks sharing a spec
+    for spec, block, _ in blocks:
+        formula, end = benchmark.specs[spec], rows + block.shape[2]
+        if runs and runs[-1][0] is formula:
+            runs[-1][2] = end
+        else:
+            runs.append([formula, rows, end])
+        rows = end
+    fields = np.concatenate([block for _, block, _ in blocks], axis=2)
+    statics = {name: np.concatenate([given[name] for _, _, given in blocks])
+               for name in blocks[0][2]}
+    values = np.full(rows, math.inf)
+    bounds = _chunk_bounds(benchmark, rows)
+    for start, stop in zip(bounds, bounds[1:]):
+        u = synthesize_batch(benchmark, fields[:, :, start:stop])
+        y = simulate_batch(benchmark, u, {name: v[start:stop] for name, v in statics.items()})
+        finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
+        for formula, first, end in runs:
+            mine = slice(max(first, start) - start, min(end, stop) - start)
+            if mine.start >= mine.stop:
+                continue
+            if not finite[mine].all():  # no copy unless a row diverged
+                mine = np.flatnonzero(finite[mine]) + mine.start
+                if not len(mine):
+                    continue
+            channels = dict(zip(benchmark.output_names, y[mine].transpose(1, 0, 2)))
+            channels.update(zip(benchmark.input_names, u[mine].transpose(1, 0, 2)))
+            values[start:stop][mine] = stl.robustness_batch(
+                formula, channels, benchmark.dt, semantics)
     return values
 
 
@@ -322,14 +356,15 @@ def evaluate_witness(
 ) -> float:
     """Re-simulate a witness and re-evaluate the spec robustness.
 
-    The witness is scored by the code that scores the search's points, as a
-    block of one, so the value equals the one the search recorded bit for
-    bit.  A witness whose simulation diverges scores +inf, as in
-    :func:`batch_objective`; no ``SimulationError`` is raised.
+    The witness is scored by :func:`score_blocks`, which scores the points
+    of every search, as a block of one, so the value equals the one the
+    search recorded bit for bit.  A witness whose simulation diverges
+    scores +inf, as in :func:`batch_objective`; no ``SimulationError`` is
+    raised.
     """
     fields = np.array(
         [[[getattr(witness.pulses[channel], name)] for name in _PULSE_FIELDS]
          for channel in benchmark.input_names]
     )
     statics = {name: np.array([value]) for name, value in witness.static_values.items()}
-    return float(_score(benchmark, benchmark.specs[spec_name], semantics, fields, statics)[0])
+    return float(score_blocks(benchmark, [(spec_name, fields, statics)], semantics)[0])

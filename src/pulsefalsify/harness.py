@@ -5,11 +5,9 @@ from the base seed and a stable hash of the cell key, so results are
 reproducible and independent of execution order.  The cells of one
 benchmark run in lockstep, in one thread: each is an ask/tell search, and
 at every step the pending points of all live searches, across specs, are
-decoded, simulated and monitored as one block, in the fewest chunks of
-near-equal size under a ceiling: as many rows as ``_CHUNK_SAMPLES`` trace
-samples hold, but at least ``optimizers.MAX_BLOCK``.  The ceiling bounds
-memory, not wasted work as ``MAX_BLOCK`` does for one search's block.  Rows
-never mix, so every search gets the values it would get alone.
+decoded and scored as one block by ``falsification.score_blocks``, the
+scorer that ``falsify`` and witness replay use.  Rows never mix, so every
+search gets the values it would get alone.
 ``ExperimentConfig.parallelism`` is accepted for compatibility and does not
 change how the cells run.
 """
@@ -26,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .falsification import (
-    FreeMask, ParamSpace, PulseParam, build_param_space, decode_batch, monitor_batch, trace_batch,
+    FreeMask, ParamSpace, PulseParam, build_param_space, decode_batch, score_blocks,
 )
-from .optimizers import MAX_BLOCK, OptimizerConfig, as_integer, searcher
+from .optimizers import OptimizerConfig, as_integer, searcher
 from .systems import Benchmark
 
 __all__ = [
@@ -74,10 +72,9 @@ class ExperimentConfig:
         object.__setattr__(self, "repetitions", as_integer("repetitions", self.repetitions, 1))
         object.__setattr__(self, "budget", as_integer("budget", self.budget, 1))
         object.__setattr__(self, "base_seed", as_integer("base_seed", self.base_seed))
+        object.__setattr__(self, "parallelism", as_integer("parallelism", self.parallelism, 1))
         if not self.mask_labels:
             raise ValueError("mask list must be non-empty")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         labels = tuple(FreeMask.from_label(label).label for label in self.mask_labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"mask list names one mask twice: {list(self.mask_labels)}")
@@ -136,14 +133,14 @@ def _cells(config: ExperimentConfig):
 @dataclass
 class _Search:
     """A live cell: its record's leading fields, its search space, and its
-    ask/tell machine with the block of points it asked for last, decoded."""
+    ask/tell machine with the block of points it asked for last, decoded as
+    a block of ``score_blocks``."""
 
     cell: tuple  # benchmark, spec, mask, rep, seed
     space: ParamSpace
     machine: object
     asked: np.ndarray
-    fields: np.ndarray | None = None
-    statics: dict | None = None
+    block: tuple | None = None
 
 
 def _record(cell: tuple, result=None, error: Exception | None = None) -> RunRecord:
@@ -174,7 +171,7 @@ def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list
         decoded = []
         for search in live:
             try:
-                search.fields, search.statics = decode_batch(search.asked, search.space)
+                search.block = (search.cell[1], *decode_batch(search.asked, search.space))
                 decoded.append(search)
             except Exception as exc:
                 records.append(_record(search.cell, error=exc))
@@ -182,7 +179,7 @@ def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list
         if not decoded:
             break
         try:
-            values = _score_blocks(benchmark, decoded, config.semantics)
+            values = score_blocks(benchmark, [search.block for search in decoded], config.semantics)
         except Exception as exc:  # a shared chunk failed: so did every search in it
             records += [_record(search.cell, error=exc) for search in decoded]
             break
@@ -196,51 +193,6 @@ def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list
             except Exception as exc:
                 records.append(_record(search.cell, error=exc))
     return records
-
-
-# Trace samples in one scoring chunk, 2 MB of floats.  ``MAX_BLOCK`` caps one
-# search's block, so that it wastes little work past its first negative
-# value; a chunk shared by many searches wastes nothing by being wide, and
-# wider chunks pay numpy's per-call cost over more rows.  The trace memory
-# bounds it instead: 186 rows of cc, 648 of ss, about 1,290 of lag or dsm.
-_CHUNK_SAMPLES = 2**18
-
-
-def _chunk_rows(benchmark: Benchmark) -> int:
-    """The most rows one scoring chunk of ``benchmark`` holds."""
-    samples = (len(benchmark.output_names) + len(benchmark.inputs)) * len(benchmark.grid())
-    return max(MAX_BLOCK, _CHUNK_SAMPLES // samples)
-
-
-def _chunk_bounds(benchmark: Benchmark, rows: int) -> list[int]:
-    """Bounds of the fewest chunks of at most ``_chunk_rows`` rows that
-    ``rows`` rows split into, of near-equal sizes, so that no narrow tail
-    is left over."""
-    count = -(-rows // _chunk_rows(benchmark))
-    return [rows * i // count for i in range(count + 1)]
-
-
-def _score_blocks(benchmark: Benchmark, searches: list[_Search], semantics: str) -> np.ndarray:
-    """The robustness values of the decoded blocks of several searches, in
-    order: their pulse fields are simulated together in the chunks of
-    ``_chunk_bounds``, and each chunk is monitored as it is simulated, each
-    row against its own search's spec."""
-    fields = np.concatenate([search.fields for search in searches], axis=2)
-    statics = {name: np.concatenate([search.statics[name] for search in searches])
-               for name in searches[0].statics}
-    specs = np.repeat([search.cell[1] for search in searches],
-                      [len(search.asked) for search in searches])
-    values = np.empty(len(specs))
-    bounds = _chunk_bounds(benchmark, len(specs))
-    for start, stop in zip(bounds, bounds[1:]):
-        rows = slice(start, stop)
-        traces = trace_batch(benchmark, fields[:, :, rows],
-                             {name: v[rows] for name, v in statics.items()})
-        for spec in dict.fromkeys(specs[rows]):
-            mine = specs[rows] == spec
-            values[rows][mine] = monitor_batch(
-                benchmark, benchmark.specs[spec], traces[mine], semantics)
-    return values
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:

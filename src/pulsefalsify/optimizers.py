@@ -54,9 +54,9 @@ __all__ = [
     "MAX_BLOCK",
 ]
 
-# The widest block an optimizer asks to have scored, and the widest block a
-# lockstep campaign simulates at once; the systems' row-independence test
-# checks blocks of this size.
+# The widest block an optimizer asks to have scored.  A lockstep campaign
+# scores the blocks of many searches together, in chunks under a ceiling set
+# by trace memory that is never below this (``falsification._chunk_rows``).
 MAX_BLOCK = 64
 # Rows a search's point and value arrays hold before they first grow: most
 # searches of a mask sweep stop within a few evaluations.

@@ -51,6 +51,9 @@ class InputRange:
             raise ValueError(
                 f"input range requires lower < upper, got [{self.lower}, {self.upper}]"
             )
+        if not math.isfinite(self.upper - self.lower):  # else every pulse level is NaN
+            raise ValueError(f"input range width upper - lower overflows, "
+                             f"got [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,9 @@ class StaticParam:
     def __post_init__(self) -> None:
         if not self.lower < self.upper:
             raise ValueError(f"static param {self.name!r}: lower must be < upper")
+        if not math.isfinite(self.upper - self.lower):  # else decoded values are NaN
+            raise ValueError(f"static param {self.name!r}: width upper - lower overflows, "
+                             f"got [{self.lower}, {self.upper}]")
         if not self.lower <= self.default <= self.upper:
             raise ValueError(f"static param {self.name!r}: default outside range")
 
@@ -509,8 +512,11 @@ def load_benchmark(document: str) -> Benchmark:
     for entry in _expect(doc["inputs"], list, "benchmark config: 'inputs'"):
         _check_keys(entry, {"name", "min", "max"}, {"name", "min", "max"}, "input entry")
         name = str(entry["name"])
-        inputs.append((name, InputRange(_finite(entry["min"], f"input {name!r} 'min'"),
-                                        _finite(entry["max"], f"input {name!r} 'max'"))))
+        lower, upper = (_finite(entry[key], f"input {name!r} {key!r}") for key in ("min", "max"))
+        try:
+            inputs.append((name, InputRange(lower, upper)))
+        except ValueError as exc:
+            raise ValueError(f"input {name!r}: {exc}") from None
     model_doc = doc["model"]
     _check_keys(model_doc, {"kind", "params"}, {"kind"}, "model")
     params = _expect(model_doc.get("params", {}), dict, "model: 'params'")

@@ -305,6 +305,10 @@ class TestValidate:
         ({"model": {"kind": "first_order_lag", "params": {"tau": "2"}}}, "model param 'tau'"),
         ({"model": {"kind": "first_order_lag", "params": {"tau": 0.0}}},
          "model param 'tau' must be nonzero"),
+        ({"inputs": [{"name": "u", "min": -1e308, "max": 1e308}]},
+         "input 'u': input range width upper - lower overflows"),
+        ({"static_params": [{"name": "y_init", "min": -1e308, "max": 1e308, "default": 0.0}]},
+         "static param 'y_init': width upper - lower overflows"),
     ])
     def test_badly_shaped_section_exits_2(self, tmp_path, capsys, change, section):
         path = tmp_path / "lag_shape.json"

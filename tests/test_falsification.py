@@ -16,6 +16,7 @@ from pulsefalsify.falsification import (
     decode_batch,
     evaluate_witness,
     falsify,
+    score_blocks,
     synthesize_batch,
 )
 from pulsefalsify.optimizers import OptimizerConfig, turbo_lite_minimize
@@ -320,6 +321,50 @@ def block_ends(budget):
         used += min(used + 1, 64, budget - used)
         ends.add(used)
     return ends - {budget}
+
+
+class TestScoreBlocks:
+    """One call scores the blocks of several searches, each against its own
+    spec; every block must get the values it gets scored alone."""
+
+    @staticmethod
+    def switched_system():
+        # A2 = [[40, -1], [1, 40]] explodes once |x1| passes 0.7.  Levels in
+        # [-0.2, 0.4] keep x1 below that; u1 = 1 with u2 = -1 does not.
+        return load_benchmark(json.dumps({
+            "name": "ss_div", "horizon": 200.0, "dt": 0.2,
+            "inputs": [{"name": "u1", "min": -1.0, "max": 1.0},
+                       {"name": "u2", "min": -1.0, "max": 1.0}],
+            "model": {"kind": "switched_system", "params": {"a2_11": 40.0, "a2_22": 40.0}},
+            "specs": {"A": "alw[0,20](x1 <= 0.25)", "B": "ev[0,30](u1 >= 0.1 and x2 >= -0.1)"},
+        }))
+
+    def test_each_block_equals_its_objective_alone(self, rng):
+        bench = self.switched_system()
+        space = build_param_space(bench, FreeMask.from_label("L-P-W-H-D"))
+        specs, sizes = ("A", "B", "A"), (30, 20, 30)
+        assert sum(sizes) > falsification._chunk_rows(bench)  # so the rows split into chunks
+        points = [rng.random((size, space.dimension)) for size in sizes]
+        for block in points:
+            block[:, [0, 5]] = 0.4 + 0.2 * block[:, [0, 5]]  # L: low in [-0.2, 0.2]
+            block[:, [3, 8]] *= 0.2  # H: high at most 0.2 + 0.2 * 0.8
+        points[1][12, [0, 3]] = 1.0  # u1.L, u1.H: u1 held at +1
+        points[1][12, [5, 8]] = 0.0  # u2.L, u2.H: u2 held at -1
+        values = score_blocks(
+            bench, [(spec, *decode_batch(block, space)) for spec, block in zip(specs, points)])
+        assert np.flatnonzero(~np.isfinite(values)).tolist() == [30 + 12]
+        for spec, block, got in zip(specs, points, np.split(values, np.cumsum(sizes)[:-1])):
+            np.testing.assert_array_equal(got, batch_objective(bench, spec, space)(block))
+            # B reads an input channel too, so this checks the channels' names
+            assert got.tolist() == [reference_value(bench, spec, space, p) for p in block]
+
+    def test_unknown_spec_raises_though_every_row_diverges(self):
+        bench = self.switched_system()
+        space = build_param_space(bench, FreeMask.from_label("L-H"))
+        diverging = decode_batch(np.array([[1.0, 1.0, 0.0, 0.0]] * 3), space)
+        assert np.isinf(score_blocks(bench, [("A", *diverging)])).all()
+        with pytest.raises(KeyError):
+            score_blocks(bench, [("A", *diverging), ("missing", *diverging)])
 
 
 class TestBlockedRandomSearch:

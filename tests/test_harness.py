@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pulsefalsify import harness
-from pulsefalsify.falsification import FreeMask, falsify, trace_batch
+from pulsefalsify import falsification, harness
+from pulsefalsify.falsification import FreeMask, falsify
 from pulsefalsify.harness import (
     ExperimentConfig,
     RunRecord,
@@ -91,7 +91,8 @@ class TestRunExperiment:
             self.make_config(mask_labels=("W", "w"))
 
     @pytest.mark.parametrize("field, value", [
-        ("budget", 10.5), ("repetitions", 2.5), ("base_seed", 1.5),
+        ("budget", 10.5), ("repetitions", 2.5), ("base_seed", 1.5), ("parallelism", 2.5),
+        ("parallelism", "3"),
     ])
     def test_non_integer_settings_rejected(self, field, value):
         # a float budget once failed only in the cells whose search asked
@@ -101,7 +102,9 @@ class TestRunExperiment:
 
     def test_numpy_integer_settings_accepted(self):
         config = self.make_config(repetitions=np.int64(1), budget=np.int32(10),
-                                  base_seed=np.int64(-3), mask_labels=("W",))
+                                  base_seed=np.int64(-3), mask_labels=("W",),
+                                  parallelism=np.int64(2))
+        assert type(config.parallelism) is int
         assert run_experiment(config) == run_experiment(
             self.make_config(repetitions=1, budget=10, base_seed=-3, mask_labels=("W",)))
 
@@ -260,18 +263,19 @@ def record_chunks(monkeypatch) -> list[list[int]]:
     """Record the row count of each chunk the harness simulates, one list
     per lockstep step."""
     steps = []
-    score_blocks = harness._score_blocks
+    score_blocks = harness.score_blocks
+    synthesize_batch = falsification.synthesize_batch
 
-    def scoring(benchmark, searches, semantics):
+    def scoring(benchmark, blocks, semantics):
         steps.append([])
-        return score_blocks(benchmark, searches, semantics)
+        return score_blocks(benchmark, blocks, semantics)
 
-    def tracing(benchmark, fields, statics):
+    def synthesizing(benchmark, fields):
         steps[-1].append(fields.shape[2])
-        return trace_batch(benchmark, fields, statics)
+        return synthesize_batch(benchmark, fields)
 
-    monkeypatch.setattr(harness, "_score_blocks", scoring)
-    monkeypatch.setattr(harness, "trace_batch", tracing)
+    monkeypatch.setattr(harness, "score_blocks", scoring)
+    monkeypatch.setattr(falsification, "synthesize_batch", synthesizing)
     return steps
 
 
@@ -295,7 +299,7 @@ class TestLockstep:
         )
         records = run_experiment(config)
         assert len(records) == 2 * len(masks) * reps
-        ceiling = harness._chunk_rows(config.benchmarks[0])
+        ceiling = falsification._chunk_rows(config.benchmarks[0])
         chunks = [rows for step in steps for rows in step]
         assert MAX_BLOCK < max(chunks) <= ceiling and min(chunks) < 16
         assert any(16 <= rows < 64 for rows in chunks)
@@ -319,16 +323,16 @@ class TestLockstep:
             benchmarks=(bench,), spec_names=("phi1",), mask_labels=("W", "L-P", "L-P-W-H-D"),
             repetitions=4, budget=94, optimizer="random_search"))
         assert not any(r.falsified for r in records)
-        assert harness._chunk_rows(bench) == 186
+        assert falsification._chunk_rows(bench) == 186
         assert steps == [[12], [24], [48], [96], [96, 96], [128, 128, 128], [186, 186]]
 
     @pytest.mark.parametrize("name, ceiling", [("cc", 186), ("lag", 1297), ("dsm", 1285), ("ss", 648)])
     def test_chunk_ceiling_bounds_the_trace_samples(self, name, ceiling):
         # (outputs + inputs) * samples per row: 7 * 201 for cc, 2 * 101 for lag
         bench = builtin_benchmark(name)
-        assert harness._chunk_rows(bench) == ceiling
-        assert harness._chunk_bounds(bench, ceiling) == [0, ceiling]
-        assert harness._chunk_bounds(bench, ceiling + 1) == [0, (ceiling + 1) // 2, ceiling + 1]
+        assert falsification._chunk_rows(bench) == ceiling
+        assert falsification._chunk_bounds(bench, ceiling) == [0, ceiling]
+        assert falsification._chunk_bounds(bench, ceiling + 1) == [0, (ceiling + 1) // 2, ceiling + 1]
 
     def test_an_errored_cell_leaves_the_others(self):
         # turbo_lite needs 2*dim = 10 hypercube points on a 5-D mask, so

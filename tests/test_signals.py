@@ -21,6 +21,12 @@ class TestInputRange:
         with pytest.raises(ValueError):
             InputRange(0.0, float("inf"))
 
+    def test_rejects_a_width_that_overflows(self):
+        # Both bounds are finite, but upper - lower is inf: every pulse level
+        # would be NaN, and every evaluation would score +inf.
+        with pytest.raises(ValueError, match=r"width upper - lower overflows, got \[-1e\+308"):
+            InputRange(-1e308, 1e308)
+
 
 class TestPulseParams:
     def test_bounds(self):

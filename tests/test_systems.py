@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pulsefalsify import harness
+from pulsefalsify import falsification
 from pulsefalsify.falsification import FreeMask, batch_objective, build_param_space
 from pulsefalsify.signals import Signal
 from pulsefalsify.stl import ParseError
@@ -613,7 +613,7 @@ class TestBatchedModels:
         # the same bits as that row simulated alone or in a smaller block.
         # The block is the widest chunk that a lockstep sweep simulates.
         bench = builtin_benchmark(name)
-        width = harness._chunk_rows(bench)
+        width = falsification._chunk_rows(bench)
         u, statics = random_block(bench, width, rng, pieces=len(bench.grid()))
         out = simulate_batch(bench, u, statics)
         sample = [0, width - 1, *rng.choice(np.arange(1, width - 1), 6, replace=False)]
