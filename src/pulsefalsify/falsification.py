@@ -244,12 +244,15 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     return objective
 
 
-# Trace samples in one scoring chunk, 2 MB of floats.  ``MAX_BLOCK`` caps one
+# Trace samples in one scoring chunk, 4 MB of floats.  ``MAX_BLOCK`` caps one
 # search's block, so that it wastes little work past its first negative
 # value; a chunk shared by many searches wastes nothing by being wide, and
 # wider chunks pay numpy's per-call cost over more rows.  The trace memory
-# bounds it instead: 186 rows of cc, 648 of ss, about 1,290 of lag or dsm.
-_CHUNK_SAMPLES = 2**18
+# bounds it instead: 372 rows of cc, 1,297 of ss, about 2,580 of lag or dsm.
+# At 2^18, a random-search sweep steps cc in more chunks, each paying the
+# platoon's per-step cost, and took about a fifth longer; at 2^20 it took
+# about as long as at 2^19, with a peak memory some 3 MB higher.
+_CHUNK_SAMPLES = 2**19
 
 
 def _chunk_rows(benchmark: Benchmark) -> int:

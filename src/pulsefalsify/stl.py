@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .signals import Signal
 
@@ -415,6 +415,16 @@ def _interval_steps(a: float, b: float, dt: float) -> tuple[int, int]:
     return lo, hi
 
 
+def _windows(values: np.ndarray, window: int, axis: int) -> np.ndarray:
+    """Every run of ``window`` consecutive values along ``axis``, along a new
+    last axis: the read-only view of ``sliding_window_view``, built directly,
+    as that checks its arguments at twice the cost of the view itself."""
+    shape = list(values.shape)
+    shape[axis] -= window - 1
+    return as_strided(values, (*shape, window), values.strides + (values.strides[axis],),
+                      writeable=False)
+
+
 def _conj(values: np.ndarray, axis: int, additive: bool, window: int | None = None) -> np.ndarray:
     """Conjunction of ``values`` along ``axis``: their minimum, or in additive
     semantics the minimum where it is positive and the sum of the negative
@@ -423,10 +433,10 @@ def _conj(values: np.ndarray, axis: int, additive: bool, window: int | None = No
     before windowing, so no (B, m, window) array is built.  Every
     disjunction is its dual, ``-_conj(-values)``."""
     negative = np.minimum(values, 0.0) if additive else None
-    if window is not None:  # every run of ``window`` values, along a new last axis
-        values = sliding_window_view(values, window, axis=axis)
+    if window is not None:
+        values = _windows(values, window, axis)
         if additive:
-            negative = sliding_window_view(negative, window, axis=axis)
+            negative = _windows(negative, window, axis)
         axis = -1
     low = values.min(axis=axis)
     if not additive:

@@ -6,8 +6,9 @@ conditions).  Simulation is deterministic: one classical RK4 step per grid
 interval with the inputs held over it (the delta-sigma modulator is a
 discrete map with one step per grid instant).  The first-order lag's steps
 are solved in closed form, and the switched system steps each row in Python
-floats, as does the platoon on blocks of fewer than 16 rows; wider platoon
-blocks and the modulator are step functions that ``_march`` iterates.
+floats, as does the platoon on blocks of fewer than 10 rows.  Wider platoon
+blocks are stepped in place across their rows, and the modulator is a step
+function that ``_march`` iterates.
 
 The shipped models are desk-scale substitutes for the proprietary ARCH
 suite: a first-order lag, a five-car platoon, a third-order delta-sigma
@@ -179,22 +180,22 @@ class Benchmark:
 # Each model ``(p, u, dt)`` maps input traces u of shape (B, channels, n)
 # onto outputs of shape (B, outputs, n): the lag in closed form, the
 # switched system and platoon blocks under ``_CC_FLOAT_ROWS`` rows row by
-# row in floats, and the others as a step function that ``_march`` iterates.
+# row in floats, wider platoon blocks stepped in place in preallocated
+# buffers, and the modulator as a step function that ``_march`` iterates.
 # It reads params only as ``p[name]``: a float, or a (B,) array for a static
 # search parameter.  Rows never mix, not even through a matrix product, so
 # row b is exactly the simulation of input b alone.  States are (S, B) and
 # traces time-major, which keeps the per-step indexing cheap.
 
 
-def _march(step, state: np.ndarray, n: int, kept: int | None = None) -> np.ndarray:
+def _march(step, state: np.ndarray, n: int) -> np.ndarray:
     """x_0 = ``state`` and x_{k+1} = ``step(k, x_k)`` for k < n - 1, stacked
-    along a leading time axis; only the first ``kept`` state rows, if given."""
-    rows = slice(kept)
-    out = np.empty((n,) + state[rows].shape)
-    out[0] = state[rows]
+    along a leading time axis."""
+    out = np.empty((n,) + state.shape)
+    out[0] = state
     for k in range(n - 1):
         state = step(k, state)
-        out[k + 1] = state[rows]
+        out[k + 1] = state
     return out
 
 
@@ -233,20 +234,27 @@ def _lag(p, u: np.ndarray, dt: float) -> np.ndarray:
     # Past dt = 500 |tau|, where q^m nears overflow, take one step per block.
     m = _LAG_BLOCK if log_q * _LAG_BLOCK < 700.0 else 1
     powers = np.exp(log_q * np.arange(1.0, m + 1))
+    # One array holds the drive, then its sums, then the trajectory.  Its
+    # blocks are taken one by one, as numpy copies a strided 3-d view that a
+    # ufunc writes in place; positional ``out`` and ``add.accumulate`` keep
+    # the calls cheap.
     rows, n = u.shape[0], u.shape[2]
     blocks = -(-(n - 1) // m)
-    drive = np.zeros((rows, blocks, m))
-    drive.reshape(rows, -1)[:, : n - 1] = (g * p["K"]) * u[:, 0, :-1]
-    sums = np.cumsum(drive / powers, axis=2)
     y = np.empty((rows, blocks * m + 1))
     y[:, 0] = p["y_init"]
-    trajectory = y[:, 1:].reshape(rows, blocks, m)
+    drive = y[:, 1:]
+    np.multiply(g * p["K"], u[:, 0, :-1], drive[:, : n - 1])
+    drive[:, n - 1 :] = 0.0  # past the grid: never returned, but not left unset
     for block in range(blocks):
-        trajectory[:, block] = (y[:, block * m, None] + sums[:, block]) * powers
+        sums = drive[:, block * m : (block + 1) * m]
+        np.divide(sums, powers, sums)
+        np.add.accumulate(sums, 1, None, sums)
+        np.add(y[:, block * m, None], sums, sums)
+        np.multiply(sums, powers, sums)
     return y[:, None, :n]
 
 
-_CC_FLOAT_ROWS = 16  # below this many rows, numpy's per-call cost outweighs stepping in floats
+_CC_FLOAT_ROWS = 10  # below this many rows, numpy's per-call cost outweighs stepping in floats
 
 
 def _chasing_cars(p, u: np.ndarray, dt: float) -> np.ndarray:
@@ -258,28 +266,63 @@ def _chasing_cars(p, u: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _chasing_cars_numpy(p, u: np.ndarray, dt: float) -> np.ndarray:
-    k1, k2, d0 = (np.asarray(p[name]) for name in ("k1", "k2", "d0"))
+    # RK4 stepped in place, in the float form's order of operations: every
+    # buffer and view is made once per call, and each step only computes
+    # into them.  0-d arrays, as numpy converts a Python float on every call.
+    k1, k2, d0, zero, half, full, sixth = (
+        np.asarray(v) for v in (p["k1"], p["k2"], p["d0"], 0.0, 0.5 * dt, dt, dt / 6.0))
     command = np.ascontiguousarray((p["accel_gain"] * u[:, 0] - p["brake_gain"] * u[:, 1]).T)
-    resting = np.where(command < 0.0, 0.0, command)  # the lead car cannot reverse
+    braking = command < 0.0  # the lead car cannot reverse: braking at rest gives 0
+    n, rows = command.shape
+    out = np.empty((n, 5, rows))
+    # Per RK4 stage, by rows: positions y1..y5, velocities v1..v5 and
+    # accelerations a1..a5.  The stage's state is rows 0-9 and its
+    # derivative rows 5-14, so the positions' rates are never copied.
+    # Stage 0 holds the current state.
+    stages = np.zeros((4, 15, rows))
+    state, (d1, d2, d3, d4) = stages[0, :10], stages[:, 5:]
+    lead, positions = state[5], state[:5]
+    positions[...] = (np.array([4.0, 3.0, 2.0, 1.0, 0.0]) * d0)[:, None]
+    out[0] = positions
+    gap, damping, mask = np.empty((4, rows)), np.empty((4, rows)), np.empty(rows, dtype=bool)
+    # (lead velocity, positions ahead, positions behind, follower velocities,
+    # lead acceleration, follower accelerations) of each stage
+    parts = [(x[5], x[:4], x[1:5], x[6:10], x[10], x[11:]) for x in stages]
+    # (derivative of the stage before, its step, the stage's state and parts)
+    later = [(stages[i - 1, 5:], h, stages[i, :10], parts[i])
+             for i, h in ((1, half), (2, half), (3, full))]
 
-    def deriv(state, k):
-        d = np.empty_like(state)
-        d[:5] = state[5:]
-        d[5] = np.where(state[5] <= 0.0, resting[k], command[k])
-        d[6:] = k1 * (state[:4] - state[1:5] - d0) - k2 * state[6:]
-        return d
+    def deriv(part, lead_command, lead_braking):
+        v1, ahead, behind, followers, a1, accels = part
+        np.less_equal(v1, zero, mask)
+        np.logical_and(mask, lead_braking, mask)
+        a1[...] = lead_command
+        np.copyto(a1, zero, where=mask)
+        np.subtract(ahead, behind, gap)
+        np.subtract(gap, d0, gap)
+        np.multiply(k1, gap, gap)
+        np.multiply(k2, followers, damping)
+        np.subtract(gap, damping, accels)
 
-    rk4 = _rk4(deriv, dt)
-
-    def step(k, state):
-        state = rk4(state, k)
-        state[5] = np.where(state[5] < 0.0, 0.0, state[5])
-        return state
-
-    # State layout: (y1..y5, v1..v5).
-    state = np.zeros((10, u.shape[0]))
-    state[:5] = (np.array([4.0, 3.0, 2.0, 1.0, 0.0]) * d0)[:, None]
-    return _march(step, state, len(command), kept=5).transpose(2, 1, 0)
+    for lead_command, lead_braking, step_out in zip(command[:-1], braking[:-1], out[1:]):
+        deriv(parts[0], lead_command, lead_braking)
+        for d, h, x, part in later:
+            np.multiply(h, d, x)
+            np.add(state, x, x)
+            deriv(part, lead_command, lead_braking)
+        # state + sixth * (d1 + (d2 + d2) + (d3 + d3) + d4), summed in d2,
+        # as d1 holds the state's velocities; k + k is exactly 2.0 * k.
+        np.add(d2, d2, d2)
+        np.add(d1, d2, d2)
+        np.add(d3, d3, d3)
+        np.add(d2, d3, d2)
+        np.add(d2, d4, d2)
+        np.multiply(sixth, d2, d2)
+        np.add(state, d2, state)
+        np.less(lead, zero, mask)
+        np.copyto(lead, zero, where=mask)
+        step_out[...] = positions
+    return out.transpose(2, 1, 0)
 
 
 def _chasing_cars_floats(p, u: np.ndarray, dt: float) -> np.ndarray:

@@ -342,7 +342,7 @@ class TestScoreBlocks:
     def test_each_block_equals_its_objective_alone(self, rng):
         bench = self.switched_system()
         space = build_param_space(bench, FreeMask.from_label("L-P-W-H-D"))
-        specs, sizes = ("A", "B", "A"), (30, 20, 30)
+        specs, sizes = ("A", "B", "A"), (60, 20, 60)
         assert sum(sizes) > falsification._chunk_rows(bench)  # so the rows split into chunks
         points = [rng.random((size, space.dimension)) for size in sizes]
         for block in points:
@@ -352,7 +352,7 @@ class TestScoreBlocks:
         points[1][12, [5, 8]] = 0.0  # u2.L, u2.H: u2 held at -1
         values = score_blocks(
             bench, [(spec, *decode_batch(block, space)) for spec, block in zip(specs, points)])
-        assert np.flatnonzero(~np.isfinite(values)).tolist() == [30 + 12]
+        assert np.flatnonzero(~np.isfinite(values)).tolist() == [60 + 12]
         for spec, block, got in zip(specs, points, np.split(values, np.cumsum(sizes)[:-1])):
             np.testing.assert_array_equal(got, batch_objective(bench, spec, space)(block))
             # B reads an input channel too, so this checks the channels' names

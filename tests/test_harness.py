@@ -19,7 +19,7 @@ from pulsefalsify.harness import (
     write_errors,
 )
 from pulsefalsify.optimizers import MAX_BLOCK, OptimizerConfig
-from pulsefalsify.systems import builtin_benchmark
+from pulsefalsify.systems import _CC_FLOAT_ROWS, builtin_benchmark
 
 
 def record(spec="phi", mask="W", rep=0, falsified=True, sims=10, bench="b"):
@@ -284,14 +284,15 @@ class TestLockstep:
     scored as one block; each record must be that of the cell run alone."""
 
     @pytest.mark.parametrize("optimizer, masks, reps, budget", [
-        ("random_search", ("W", "L-P", "L-P-W-H-D"), 2, 100),
+        ("random_search", ("W", "L-P", "L-P-W-H-D"), 2, 192),
         ("turbo_lite", ("W", "L-P-W-H", "L-P-W-H-D"), 4, 40),
     ])
     def test_records_equal_per_cell_falsify(self, monkeypatch, optimizer, masks, reps, budget):
         # cc has two inputs, so these masks have dimension 2 to 10, and
         # phi2 falsifies early in some cells.  The live searches make blocks
-        # that cross the 16-row float/numpy switch and exceed one search's
-        # 64-row block; a step wider than cc's ceiling splits in two.
+        # that cross the float/numpy switch at _CC_FLOAT_ROWS and exceed one
+        # search's 64-row block; a step wider than cc's ceiling splits in two.
+        # Random search's last step asks one row of each cell still live.
         steps = record_chunks(monkeypatch)
         config = ExperimentConfig(
             benchmarks=(builtin_benchmark("cc"),), spec_names=("phi1", "phi2"),
@@ -301,8 +302,8 @@ class TestLockstep:
         assert len(records) == 2 * len(masks) * reps
         ceiling = falsification._chunk_rows(config.benchmarks[0])
         chunks = [rows for step in steps for rows in step]
-        assert MAX_BLOCK < max(chunks) <= ceiling and min(chunks) < 16
-        assert any(16 <= rows < 64 for rows in chunks)
+        assert MAX_BLOCK < max(chunks) <= ceiling and min(chunks) < _CC_FLOAT_ROWS
+        assert any(_CC_FLOAT_ROWS <= rows < 64 for rows in chunks)
         for step in steps:  # the fewest chunks under the ceiling, of near-equal sizes
             assert len(step) == -(-sum(step) // ceiling) and max(step) - min(step) <= 1
         assert any(r.falsified and r.sims < budget for r in records)
@@ -323,10 +324,10 @@ class TestLockstep:
             benchmarks=(bench,), spec_names=("phi1",), mask_labels=("W", "L-P", "L-P-W-H-D"),
             repetitions=4, budget=94, optimizer="random_search"))
         assert not any(r.falsified for r in records)
-        assert falsification._chunk_rows(bench) == 186
-        assert steps == [[12], [24], [48], [96], [96, 96], [128, 128, 128], [186, 186]]
+        assert falsification._chunk_rows(bench) == 372
+        assert steps == [[12], [24], [48], [96], [192], [192, 192], [372]]
 
-    @pytest.mark.parametrize("name, ceiling", [("cc", 186), ("lag", 1297), ("dsm", 1285), ("ss", 648)])
+    @pytest.mark.parametrize("name, ceiling", [("cc", 372), ("lag", 2595), ("dsm", 2570), ("ss", 1297)])
     def test_chunk_ceiling_bounds_the_trace_samples(self, name, ceiling):
         # (outputs + inputs) * samples per row: 7 * 201 for cc, 2 * 101 for lag
         bench = builtin_benchmark(name)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (
     additive_and,
@@ -30,7 +31,7 @@ from pulsefalsify.stl import (
     parse,
     robustness,
 )
-from pulsefalsify.stl import _eval, _until
+from pulsefalsify.stl import _eval, _until, _windows
 
 
 def ramp_trace():
@@ -310,6 +311,18 @@ class TestAdditiveRobustness:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+    def test_windows_equal_sliding_window_view(self, rng):
+        for _ in range(10):
+            shape = tuple(int(k) for k in rng.integers(1, 12, size=rng.integers(2, 4)))
+            # a strided operand as well as a contiguous one
+            for values in (rng.normal(size=shape), rng.normal(size=shape)[..., ::-1]):
+                for axis in range(-values.ndim, values.ndim):
+                    for window in range(1, values.shape[axis] + 1):
+                        got = _windows(values, window, axis)
+                        expected = sliding_window_view(values, window, axis=axis)
+                        assert got.shape == expected.shape and got.strides == expected.strides
+                        assert np.array_equal(got, expected) and not got.flags.writeable
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):

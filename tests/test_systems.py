@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,21 @@ class TestBatchedModels:
         for rows in [slice(row, row + 1) for row in sample] + [slice(20, 25)]:
             part = simulate_batch(bench, u[rows], {k: v[rows] for k, v in statics.items()})
             np.testing.assert_array_equal(out[rows], part)
+
+    @pytest.mark.parametrize("name", ["cc", "lag"])
+    def test_widest_chunk_holds_little_beyond_its_outputs(self, name, rng):
+        # Besides its outputs, simulating the widest chunk holds at most two
+        # input channels' worth of samples at once (the platoon keeps its
+        # lead-car command), and no temporary as large as the outputs.
+        bench = builtin_benchmark(name)
+        u, statics = random_block(bench, falsification._chunk_rows(bench), rng)
+        tracemalloc.start()
+        try:
+            out = simulate_batch(bench, u, statics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2 * u[:, 0].nbytes
 
     @pytest.mark.parametrize("name", ["ss", "ss_08", "ss_09", "non_dyadic"])
     def test_switched_system_matches_float_loop_bit_for_bit(self, name, rng):
