@@ -12,6 +12,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +114,25 @@ class ParamSpace:
     def dimension(self) -> int:
         return len(self.coords)
 
+    # Constants of decode_batch, built once per space.
+
+    @cached_property
+    def _lower(self) -> np.ndarray:
+        return np.array([c.lower for c in self.coords])
+
+    @cached_property
+    def _widths(self) -> np.ndarray:
+        return np.array([c.upper for c in self.coords]) - self._lower
+
+    @cached_property
+    def _targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (channel, field) indices of the pulse coordinates, which come
+        first, in order."""
+        channels = self.benchmark.input_names
+        pulses = [c for c in self.coords if c.channel is not None]
+        return (np.array([channels.index(c.channel) for c in pulses], dtype=np.intp),
+                np.array([_CANONICAL_ORDER.index(c.param) for c in pulses], dtype=np.intp))
+
 
 def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
     """Assemble the search space: per channel the masked parameters in
@@ -140,8 +160,10 @@ def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
     return ParamSpace(benchmark=benchmark, mask=mask, coords=tuple(coords))
 
 
-# PulseParams fields in L-P-W-H-D order.
+# PulseParams fields in L-P-W-H-D order, and their fixed defaults as a column.
 _PULSE_FIELDS = tuple(f.name for f in dataclasses.fields(PulseParams))
+_DEFAULT_FIELDS = np.array([getattr(FIXED_DEFAULTS, name) for name in _PULSE_FIELDS])[:, None]
+_DEFAULT_FIELDS.flags.writeable = False
 
 
 def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -164,19 +186,13 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
         raise ValueError(
             f"coordinate {space.coords[column].name} must be in [0, 1], got {points[row, column]}"
         )
-    lower = np.array([c.lower for c in space.coords])
-    upper = np.array([c.upper for c in space.coords])
-    native = lower + points * (upper - lower)
-    channels = space.benchmark.input_names
-    defaults = [getattr(FIXED_DEFAULTS, name) for name in _PULSE_FIELDS]
-    fields = np.empty((len(channels), len(_PULSE_FIELDS), len(points)))
-    fields[:] = np.array(defaults)[:, None]
-    statics: dict[str, np.ndarray] = {}
-    for column, coord in zip(native.T, space.coords):
-        if coord.channel is not None:
-            fields[channels.index(coord.channel), _CANONICAL_ORDER.index(coord.param)] = column
-        else:
-            statics[coord.static_name] = column
+    native = space._lower + points * space._widths
+    fields = np.empty((len(space.benchmark.inputs), len(_PULSE_FIELDS), len(points)))
+    fields[:] = _DEFAULT_FIELDS
+    channel, field = space._targets
+    pulses = len(channel)
+    fields[channel, field] = native[:, :pulses].T
+    statics = {c.static_name: column for column, c in zip(native.T[pulses:], space.coords[pulses:])}
     return fields, statics
 
 
@@ -197,10 +213,8 @@ def decode(point: np.ndarray, space: ParamSpace) -> tuple[dict[str, PulseParams]
 def synthesize_batch(benchmark: Benchmark, fields: np.ndarray) -> np.ndarray:
     """Input traces of shape (B, channels, n) on the benchmark grid from
     normalized pulse fields shaped as :func:`decode_batch` returns them."""
-    lower = np.array([[rng.lower] for _, rng in benchmark.inputs])
-    upper = np.array([[rng.upper] for _, rng in benchmark.inputs])
-    pulses = scale_pulse(*fields.transpose(1, 0, 2), lower, upper, benchmark.horizon)
-    u = pulse_values(*pulses, benchmark.horizon, benchmark.grid())
+    pulses = scale_pulse(*fields.transpose(1, 0, 2), *benchmark.input_bounds, benchmark.horizon)
+    u = pulse_values(*pulses, benchmark.horizon, benchmark.times)
     return u.transpose(1, 0, 2)
 
 
@@ -257,7 +271,7 @@ _CHUNK_SAMPLES = 2**19
 
 def _chunk_rows(benchmark: Benchmark) -> int:
     """The most rows one scoring chunk of ``benchmark`` holds."""
-    samples = (len(benchmark.output_names) + len(benchmark.inputs)) * len(benchmark.grid())
+    samples = (len(benchmark.output_names) + len(benchmark.inputs)) * len(benchmark.times)
     return max(MAX_BLOCK, _CHUNK_SAMPLES // samples)
 
 

@@ -5,10 +5,11 @@ specifications, and optional static search parameters (e.g. initial
 conditions).  Simulation is deterministic: one classical RK4 step per grid
 interval with the inputs held over it (the delta-sigma modulator is a
 discrete map with one step per grid instant).  The first-order lag's steps
-are solved in closed form, and the switched system steps each row in Python
-floats, as does the platoon on blocks of fewer than 10 rows.  Wider platoon
-blocks are stepped in place across their rows, and the modulator is a step
-function that ``_march`` iterates.
+are solved in closed form.  The switched system steps each row in Python
+floats, as do the platoon on blocks of fewer than 10 rows and the modulator
+on blocks of fewer than 14; the platoon's float form copies a step, rather
+than computing it, while the platoon rests under an unchanged command.
+Wider blocks of those two are stepped in place across their rows.
 
 The shipped models are desk-scale substitutes for the proprietary ARCH
 suite: a first-order lag, a five-car platoon, a third-order delta-sigma
@@ -19,7 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Mapping
 
@@ -173,47 +176,36 @@ class Benchmark:
     def grid(self) -> np.ndarray:
         return uniform_grid(self.horizon, self.dt)
 
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The grid, built once and read-only."""
+        times = self.grid()
+        times.flags.writeable = False
+        return times
+
+    @cached_property
+    def input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The input channels' lower and upper bounds, as read-only
+        (channels, 1) arrays."""
+        bounds = np.array([[[rng.lower] for _, rng in self.inputs],
+                           [[rng.upper] for _, rng in self.inputs]])
+        bounds.flags.writeable = False
+        return bounds[0], bounds[1]
+
 
 # ---------------------------------------------------------------------------
 # Model dynamics
 #
 # Each model ``(p, u, dt)`` maps input traces u of shape (B, channels, n)
-# onto outputs of shape (B, outputs, n): the lag in closed form, the
-# switched system and platoon blocks under ``_CC_FLOAT_ROWS`` rows row by
-# row in floats, wider platoon blocks stepped in place in preallocated
-# buffers, and the modulator as a step function that ``_march`` iterates.
+# onto outputs of shape (B, outputs, n): the lag in closed form; the
+# switched system, platoon blocks under ``_CC_FLOAT_ROWS`` rows and
+# modulator blocks under ``_DSM_FLOAT_ROWS`` row by row in floats, resting
+# platoon steps copied; wider platoon and modulator blocks stepped in place
+# in preallocated buffers.
 # It reads params only as ``p[name]``: a float, or a (B,) array for a static
 # search parameter.  Rows never mix, not even through a matrix product, so
 # row b is exactly the simulation of input b alone.  States are (S, B) and
 # traces time-major, which keeps the per-step indexing cheap.
-
-
-def _march(step, state: np.ndarray, n: int) -> np.ndarray:
-    """x_0 = ``state`` and x_{k+1} = ``step(k, x_k)`` for k < n - 1, stacked
-    along a leading time axis."""
-    out = np.empty((n,) + state.shape)
-    out[0] = state
-    for k in range(n - 1):
-        state = step(k, state)
-        out[k + 1] = state
-    return out
-
-
-def _rk4(deriv, dt: float):
-    """The classical 4th-order Runge-Kutta step ``step(state, inp)`` of
-    ``deriv(state, inp)`` over ``dt``, with the input held constant."""
-    # 0-d arrays: numpy combines them with small arrays faster than floats.
-    half, full, sixth = np.asarray(0.5 * dt), np.asarray(dt), np.asarray(dt / 6.0)
-
-    def step(state, inp):
-        k1 = deriv(state, inp)
-        k2 = deriv(state + half * k1, inp)
-        k3 = deriv(state + half * k2, inp)
-        k4 = deriv(state + full * k3, inp)
-        # k + k is exactly 2.0 * k, and cheaper.
-        return state + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
-
-    return step
 
 
 _LAG_BLOCK = 32  # steps per block of the lag's closed form
@@ -225,11 +217,16 @@ def _lag(p, u: np.ndarray, dt: float) -> np.ndarray:
     #   y_{s+i} = q^i * (y_s + sum_{j<i} q^-(j+1) * g*K*u_{s+j}):
     # one cumulative sum along time per block, with no sum across rows.
     # Blocks of m steps keep q^-m finite, as q >= 0.27 for every tau.
-    # The powers of q come from g, what one step makes of y = 0 under K*u = 1,
-    # which is accurate to a few ulp: q rounded near 1 would put a fixed
-    # error in the rate, and q^n multiplies it n times.
-    tau = np.asarray(p["tau"])
-    g = _rk4(lambda y, gain_u: (gain_u - y) / tau, dt)(0.0, 1.0)
+    # The powers of q come from g, what one RK4 step makes of y = 0 under
+    # K*u = 1, worked out stage by stage below; it is accurate to a few ulp,
+    # while q rounded near 1 would put a fixed error in the rate, and q^n
+    # multiplies it n times.
+    tau, half = p["tau"], 0.5 * dt
+    k1 = (1.0 - 0.0) / tau
+    k2 = (1.0 - (0.0 + half * k1)) / tau
+    k3 = (1.0 - (0.0 + half * k2)) / tau
+    k4 = (1.0 - (0.0 + dt * k3)) / tau
+    g = 0.0 + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
     log_q = np.log1p(-g)
     # Past dt = 500 |tau|, where q^m nears overflow, take one step per block.
     m = _LAG_BLOCK if log_q * _LAG_BLOCK < 700.0 else 1
@@ -254,7 +251,15 @@ def _lag(p, u: np.ndarray, dt: float) -> np.ndarray:
     return y[:, None, :n]
 
 
-_CC_FLOAT_ROWS = 10  # below this many rows, numpy's per-call cost outweighs stepping in floats
+# Below these many rows, numpy's per-call cost outweighs stepping each row in
+# Python floats, so the platoon and the modulator take their float forms
+# there.  Both are measured crossovers: a modulator row costs about 38 us in
+# floats, and a call of its numpy form about 510 us at 10 to 16 rows.
+_CC_FLOAT_ROWS = 10
+_DSM_FLOAT_ROWS = 14
+
+# A float state's bytes, which tell 0.0 from -0.0 where ``==`` does not.
+_STATE_BYTES = struct.Struct("10d").pack
 
 
 def _chasing_cars(p, u: np.ndarray, dt: float) -> np.ndarray:
@@ -328,69 +333,109 @@ def _chasing_cars_numpy(p, u: np.ndarray, dt: float) -> np.ndarray:
 def _chasing_cars_floats(p, u: np.ndarray, dt: float) -> np.ndarray:
     # Row by row in Python floats, in the numpy form's order of operations;
     # the RK4 stages hold positions y/q/r/s, velocities v/w/x/z, accels a/b/c/e.
+    # A step depends only on the state and the command, so a step is copied,
+    # not computed, when the step before left the state unchanged bit for bit
+    # and the command has the same bits: a platoon at rest stays at rest.
     k1, k2, d0, half, sixth = p["k1"], p["k2"], p["d0"], 0.5 * dt, dt / 6.0
     init = tuple(c * d0 for c in (4.0, 3.0, 2.0, 1.0, 0.0))
-    out = np.empty((u.shape[0], 5, u.shape[2]))
-    commands = (p["accel_gain"] * u[:, 0] - p["brake_gain"] * u[:, 1]).tolist()
-    for row, command in enumerate(commands):
-        (y1, y2, y3, y4, y5, v1, v2, v3, v4, v5), trace = init + (0.0,) * 5, [init]
-        for lead in command[:-1]:
-            a1 = 0.0 if lead < 0.0 and v1 <= 0.0 else lead
-            a2, a3 = k1 * (y1 - y2 - d0) - k2 * v2, k1 * (y2 - y3 - d0) - k2 * v3
-            a4, a5 = k1 * (y3 - y4 - d0) - k2 * v4, k1 * (y4 - y5 - d0) - k2 * v5
-            q1, q2, q3, q4, q5, w1, w2, w3, w4, w5 = (
-                y1 + half * v1, y2 + half * v2, y3 + half * v3, y4 + half * v4, y5 + half * v5,
-                v1 + half * a1, v2 + half * a2, v3 + half * a3, v4 + half * a4, v5 + half * a5)
-            b1 = 0.0 if lead < 0.0 and w1 <= 0.0 else lead
-            b2, b3 = k1 * (q1 - q2 - d0) - k2 * w2, k1 * (q2 - q3 - d0) - k2 * w3
-            b4, b5 = k1 * (q3 - q4 - d0) - k2 * w4, k1 * (q4 - q5 - d0) - k2 * w5
-            r1, r2, r3, r4, r5, x1, x2, x3, x4, x5 = (
-                y1 + half * w1, y2 + half * w2, y3 + half * w3, y4 + half * w4, y5 + half * w5,
-                v1 + half * b1, v2 + half * b2, v3 + half * b3, v4 + half * b4, v5 + half * b5)
-            c1 = 0.0 if lead < 0.0 and x1 <= 0.0 else lead
-            c2, c3 = k1 * (r1 - r2 - d0) - k2 * x2, k1 * (r2 - r3 - d0) - k2 * x3
-            c4, c5 = k1 * (r3 - r4 - d0) - k2 * x4, k1 * (r4 - r5 - d0) - k2 * x5
-            s1, s2, s3, s4, s5, z1, z2, z3, z4, z5 = (
-                y1 + dt * x1, y2 + dt * x2, y3 + dt * x3, y4 + dt * x4, y5 + dt * x5,
-                v1 + dt * c1, v2 + dt * c2, v3 + dt * c3, v4 + dt * c4, v5 + dt * c5)
-            e1 = 0.0 if lead < 0.0 and z1 <= 0.0 else lead
-            e2, e3 = k1 * (s1 - s2 - d0) - k2 * z2, k1 * (s2 - s3 - d0) - k2 * z3
-            e4, e5 = k1 * (s3 - s4 - d0) - k2 * z4, k1 * (s4 - s5 - d0) - k2 * z5
-            y1 = y1 + sixth * (v1 + (w1 + w1) + (x1 + x1) + z1)
-            y2 = y2 + sixth * (v2 + (w2 + w2) + (x2 + x2) + z2)
-            y3 = y3 + sixth * (v3 + (w3 + w3) + (x3 + x3) + z3)
-            y4 = y4 + sixth * (v4 + (w4 + w4) + (x4 + x4) + z4)
-            y5 = y5 + sixth * (v5 + (w5 + w5) + (x5 + x5) + z5)
-            v1 = v1 + sixth * (a1 + (b1 + b1) + (c1 + c1) + e1)
-            v1 = 0.0 if v1 < 0.0 else v1
-            v2 = v2 + sixth * (a2 + (b2 + b2) + (c2 + c2) + e2)
-            v3 = v3 + sixth * (a3 + (b3 + b3) + (c3 + c3) + e3)
-            v4 = v4 + sixth * (a4 + (b4 + b4) + (c4 + c4) + e4)
-            v5 = v5 + sixth * (a5 + (b5 + b5) + (c5 + c5) + e5)
-            trace.append((y1, y2, y3, y4, y5))
-        out[row] = np.array(trace).T
+    rows, n = u.shape[0], u.shape[2]
+    out = np.empty((rows, 5, n))
+    commands = p["accel_gain"] * u[:, 0] - p["brake_gain"] * u[:, 1]
+    bits = commands.view(np.int64)
+    changes = (bits[:, 1:] != bits[:, :-1]).tolist()  # [row][k]: command k+1 is not command k
+    for row, (command, changed) in enumerate(zip(commands.tolist(), changes)):
+        state, trace, held = init + (0.0,) * 5, list(init), False
+        for lead, differs in zip(command, changed):
+            if not held:
+                y1, y2, y3, y4, y5, v1, v2, v3, v4, v5 = state
+                a1 = 0.0 if lead < 0.0 and v1 <= 0.0 else lead
+                a2, a3 = k1 * (y1 - y2 - d0) - k2 * v2, k1 * (y2 - y3 - d0) - k2 * v3
+                a4, a5 = k1 * (y3 - y4 - d0) - k2 * v4, k1 * (y4 - y5 - d0) - k2 * v5
+                q1, q2, q3, q4, q5, w1, w2, w3, w4, w5 = (
+                    y1 + half * v1, y2 + half * v2, y3 + half * v3, y4 + half * v4, y5 + half * v5,
+                    v1 + half * a1, v2 + half * a2, v3 + half * a3, v4 + half * a4, v5 + half * a5)
+                b1 = 0.0 if lead < 0.0 and w1 <= 0.0 else lead
+                b2, b3 = k1 * (q1 - q2 - d0) - k2 * w2, k1 * (q2 - q3 - d0) - k2 * w3
+                b4, b5 = k1 * (q3 - q4 - d0) - k2 * w4, k1 * (q4 - q5 - d0) - k2 * w5
+                r1, r2, r3, r4, r5, x1, x2, x3, x4, x5 = (
+                    y1 + half * w1, y2 + half * w2, y3 + half * w3, y4 + half * w4, y5 + half * w5,
+                    v1 + half * b1, v2 + half * b2, v3 + half * b3, v4 + half * b4, v5 + half * b5)
+                c1 = 0.0 if lead < 0.0 and x1 <= 0.0 else lead
+                c2, c3 = k1 * (r1 - r2 - d0) - k2 * x2, k1 * (r2 - r3 - d0) - k2 * x3
+                c4, c5 = k1 * (r3 - r4 - d0) - k2 * x4, k1 * (r4 - r5 - d0) - k2 * x5
+                s1, s2, s3, s4, s5, z1, z2, z3, z4, z5 = (
+                    y1 + dt * x1, y2 + dt * x2, y3 + dt * x3, y4 + dt * x4, y5 + dt * x5,
+                    v1 + dt * c1, v2 + dt * c2, v3 + dt * c3, v4 + dt * c4, v5 + dt * c5)
+                e1 = 0.0 if lead < 0.0 and z1 <= 0.0 else lead
+                e2, e3 = k1 * (s1 - s2 - d0) - k2 * z2, k1 * (s2 - s3 - d0) - k2 * z3
+                e4, e5 = k1 * (s3 - s4 - d0) - k2 * z4, k1 * (s4 - s5 - d0) - k2 * z5
+                lead_v = v1 + sixth * (a1 + (b1 + b1) + (c1 + c1) + e1)
+                new = (y1 + sixth * (v1 + (w1 + w1) + (x1 + x1) + z1),
+                       y2 + sixth * (v2 + (w2 + w2) + (x2 + x2) + z2),
+                       y3 + sixth * (v3 + (w3 + w3) + (x3 + x3) + z3),
+                       y4 + sixth * (v4 + (w4 + w4) + (x4 + x4) + z4),
+                       y5 + sixth * (v5 + (w5 + w5) + (x5 + x5) + z5),
+                       0.0 if lead_v < 0.0 else lead_v,
+                       v2 + sixth * (a2 + (b2 + b2) + (c2 + c2) + e2),
+                       v3 + sixth * (a3 + (b3 + b3) + (c3 + c3) + e3),
+                       v4 + sixth * (a4 + (b4 + b4) + (c4 + c4) + e4),
+                       v5 + sixth * (a5 + (b5 + b5) + (c5 + c5) + e5))
+                # Each float of ``new`` is a fresh result or the constant 0.0,
+                # so ``==`` passes no NaN by identity.
+                held = new == state and _STATE_BYTES(*new) == _STATE_BYTES(*state)
+                state, positions = new, new[:5]
+            trace += positions
+            held = held and not differs
+        out[row] = np.array(trace).reshape(n, 5).T
     return out
 
 
 def _delta_sigma(p, u: np.ndarray, dt: float) -> np.ndarray:
     # Discrete integrator chain x_j += b_j * (in_j - v), v = sign(x3),
-    # sign(0) = +1; one step per grid instant.
+    # sign(0) = +1; one step per grid instant.  Both forms below give the
+    # same bits.
+    form = _delta_sigma_floats if len(u) < _DSM_FLOAT_ROWS else _delta_sigma_numpy
+    return form(p, u, dt)
+
+
+def _delta_sigma_initial(p, rows: int) -> np.ndarray:
+    # + 0.0 turns -0.0 into 0.0; a sum is -0.0 only if both terms are, so
+    # x3 is never -0.0 below and copysign gives sign(0) = +1.
+    state = np.empty((3, rows))
+    for j, name in enumerate(("x1_init", "x2_init", "x3_init")):
+        state[j] = p[name] + 0.0
+    return state
+
+
+def _delta_sigma_numpy(p, u: np.ndarray, dt: float) -> np.ndarray:
+    # Stepped across the rows, each step's state written in place into the
+    # output: (n, 3, B), time-major.
     b = np.array([[p["b1"]], [p["b2"]], [p["b3"]]])
     inputs = np.ascontiguousarray(u[:, 0].T)
+    out = np.empty((len(inputs), 3, u.shape[0]))
+    out[0] = _delta_sigma_initial(p, u.shape[0])
     work = np.empty((3, u.shape[0]))  # (u_k, x1_k, x2_k) for every batch row
     one = np.asarray(1.0)
+    for inp, x, following in zip(inputs[:-1], out[:-1], out[1:]):
+        work[0], work[1:] = inp, x[:2]
+        np.add(x, b * (work - np.copysign(one, x[2])), following)
+    return out.transpose(2, 1, 0)
 
-    def step(k, x):
-        work[0] = inputs[k]
-        work[1:] = x[:2]
-        return x + b * (work - np.copysign(one, x[2]))
 
-    state = np.empty((3, u.shape[0]))
-    for j, name in enumerate(("x1_init", "x2_init", "x3_init")):
-        # + 0.0 turns -0.0 into 0.0; a sum is -0.0 only if both terms are,
-        # so x3 is never -0.0 below and copysign gives sign(0) = +1.
-        state[j] = p[name] + 0.0
-    return _march(step, state, len(inputs)).transpose(2, 1, 0)
+def _delta_sigma_floats(p, u: np.ndarray, dt: float) -> np.ndarray:
+    # Row by row in Python floats, in the numpy form's order of operations.
+    b1, b2, b3 = p["b1"], p["b2"], p["b3"]
+    rows, n = u.shape[0], u.shape[2]
+    out = np.empty((rows, 3, n))
+    for row, ((x1, x2, x3), inputs) in enumerate(
+            zip(_delta_sigma_initial(p, rows).T.tolist(), u[:, 0].tolist())):
+        trace = [x1, x2, x3]
+        for inp in inputs[:-1]:
+            v = math.copysign(1.0, x3)
+            x1, x2, x3 = x1 + b1 * (inp - v), x2 + b2 * (x1 - v), x3 + b3 * (x2 - v)
+            trace += (x1, x2, x3)
+        out[row] = np.array(trace).reshape(n, 3).T
+    return out
 
 
 def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
@@ -398,6 +443,7 @@ def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
     # spiral, A2 a slowly expanding one.  With two states, numpy's per-call
     # cost would be most of a step, so each row is stepped in Python floats:
     # RK4 with the input held, the mode chosen afresh at every stage.
+    # -gamma < x1 < gamma is |x1| < gamma for every float, NaN included.
     a1, a2, (b11, b12, b21, b22) = (
         tuple(p[f"{m}_{ij}"] for ij in ("11", "12", "21", "22")) for m in ("a1", "a2", "b"))
     half, sixth = 0.5 * dt, dt / 6.0
@@ -406,24 +452,26 @@ def _switched_system(p, u: np.ndarray, dt: float) -> np.ndarray:
     thresh, x1_init, x2_init = (np.broadcast_to(p[name], (rows,)).tolist()
                                 for name in ("thresh", "x1_init", "x2_init"))
     for row, gamma in enumerate(thresh):
-
-        def deriv(x1, x2, c1, c2):
-            a11, a12, a21, a22 = a1 if abs(x1) < gamma else a2
-            return (a11 * x1 + a12 * x2) + c1, (a21 * x1 + a22 * x2) + c2
-
-        x1, x2 = x1_init[row], x2_init[row]
-        trace = [(x1, x2)]
+        low, x1, x2 = -gamma, x1_init[row], x2_init[row]
+        trace = [x1, x2]
         u1, u2 = u[row].tolist()
         for v1, v2 in zip(u1[:-1], u2[:-1]):
             c1, c2 = b11 * v1 + b12 * v2, b21 * v1 + b22 * v2
-            k11, k12 = deriv(x1, x2, c1, c2)
-            k21, k22 = deriv(x1 + half * k11, x2 + half * k12, c1, c2)
-            k31, k32 = deriv(x1 + half * k21, x2 + half * k22, c1, c2)
-            k41, k42 = deriv(x1 + dt * k31, x2 + dt * k32, c1, c2)
+            m11, m12, m21, m22 = a1 if low < x1 < gamma else a2
+            k11, k12 = (m11 * x1 + m12 * x2) + c1, (m21 * x1 + m22 * x2) + c2
+            s1, s2 = x1 + half * k11, x2 + half * k12
+            m11, m12, m21, m22 = a1 if low < s1 < gamma else a2
+            k21, k22 = (m11 * s1 + m12 * s2) + c1, (m21 * s1 + m22 * s2) + c2
+            s1, s2 = x1 + half * k21, x2 + half * k22
+            m11, m12, m21, m22 = a1 if low < s1 < gamma else a2
+            k31, k32 = (m11 * s1 + m12 * s2) + c1, (m21 * s1 + m22 * s2) + c2
+            s1, s2 = x1 + dt * k31, x2 + dt * k32
+            m11, m12, m21, m22 = a1 if low < s1 < gamma else a2
+            k41, k42 = (m11 * s1 + m12 * s2) + c1, (m21 * s1 + m22 * s2) + c2
             x1 = x1 + sixth * (k11 + (k21 + k21) + (k31 + k31) + k41)
             x2 = x2 + sixth * (k12 + (k22 + k22) + (k32 + k32) + k42)
-            trace.append((x1, x2))
-        out[row] = np.array(trace).T
+            trace += (x1, x2)
+        out[row] = np.array(trace).reshape(-1, 2).T
     return out
 
 

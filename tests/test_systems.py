@@ -12,6 +12,7 @@ from pulsefalsify.signals import Signal
 from pulsefalsify.stl import ParseError
 from pulsefalsify.systems import (
     _CC_FLOAT_ROWS,
+    _DSM_FLOAT_ROWS,
     Benchmark,
     ModelSpec,
     SimulationError,
@@ -19,7 +20,8 @@ from pulsefalsify.systems import (
     builtin_benchmark_names,
     _chasing_cars_floats,
     _chasing_cars_numpy,
-    _rk4,
+    _delta_sigma_floats,
+    _delta_sigma_numpy,
     load_benchmark,
     simulate,
     simulate_batch,
@@ -30,21 +32,6 @@ def constant_inputs(benchmark, values):
     grid = benchmark.grid()
     channels = tuple(np.full(len(grid), v) for v in values)
     return Signal(times=grid, channels=channels, channel_names=benchmark.input_names)
-
-
-class TestRk4Step:
-    def test_zero_derivative(self):
-        state = np.array([3.0, -1.0])
-        out = _rk4(lambda s, u: np.zeros_like(s), 0.1)(state, np.zeros(1))
-        np.testing.assert_array_equal(out, state)
-
-    def test_constant_derivative_exact(self):
-        out = _rk4(lambda s, u: np.ones_like(s), 0.1)(np.array([0.0]), np.zeros(1))
-        assert out[0] == pytest.approx(0.1, abs=1e-15)
-
-    def test_exponential_accuracy(self):
-        out = _rk4(lambda s, u: s, 0.1)(np.array([1.0]), np.zeros(1))
-        assert out[0] == pytest.approx(math.exp(0.1), abs=1e-7)
 
 
 class TestLag:
@@ -744,3 +731,83 @@ class TestBatchedModels:
         out = simulate_batch(bench, u)
         for row in range(2):
             np.testing.assert_array_equal(out[row], loop_reference(bench.model, u[row], bench.dt, {}))
+
+    @pytest.mark.parametrize("params", [{}, {"d0": 7.3}, {"d0": -10.0}])
+    def test_resting_platoon_steps_equal_the_step_loop(self, params):
+        # The float form copies a step when the last one left the platoon
+        # unchanged and the command has the same bits.  Rows: at rest under
+        # commands 0 and -3, alternating every step and then in runs of
+        # steps; braking from rest, then throttle; throttle, then braking to
+        # a stop; at rest throughout.  d0 < 0 starts y5 at -0.0.
+        bench = platoon(params, horizon=60.0, dt=0.5)
+        n = len(bench.grid())
+        u = np.zeros((5, 2, n))
+        u[0, :, 1::2] = 1.0  # throttle and brake together: 5 - 8 = -3
+        u[1, :, (np.arange(n) // 7) % 2 == 1] = 1.0
+        u[2, 1, : n // 3], u[2, 0, n // 3 :] = 1.0, 0.4
+        u[3, 0, : n // 4], u[3, 1, n // 4 :] = 0.6, 1.0
+        out = simulate_batch(bench, u)
+        assert len(u) < _CC_FLOAT_ROWS  # the float form
+        assert_same_bits(out, _chasing_cars_numpy(dict(bench.model.params), u, bench.dt))
+        for row in range(len(u)):
+            assert_same_bits(out[row], loop_reference(bench.model, u[row], bench.dt, {}))
+        lead = out[:, 0]
+        assert np.all(lead[:2] == lead[:2, :1]) and np.all(lead[4] == lead[4, 0])
+        assert lead[2, -1] > lead[2, n // 3]  # the throttle moved the rested car
+        assert lead[3, -1] == lead[3, -2] > lead[3, 0]  # braked to a stop
+        assert np.signbit(out[:, 4, 0]).tolist() == [params.get("d0", 10.0) < 0] * len(u)
+
+    def test_resting_platoon_steps_where_the_state_turns_non_finite(self):
+        # k1 = 400: rows whose lead car moves overflow, and one held at rest
+        # by braking copies its resting steps
+        bench = platoon({"k1": 400.0})
+        levels = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.0)]  # throttle, brake
+        u = np.array(levels)[:, :, None] * np.ones(len(bench.grid()))
+        with np.errstate(all="ignore"):
+            out = simulate_batch(bench, u)
+            for row in range(len(u)):
+                expected = loop_reference(bench.model, u[row], bench.dt, {})
+                finite = np.isfinite(expected)
+                assert np.array_equal(np.isfinite(out[row]), finite)
+                assert_same_bits(out[row][finite], expected[finite])
+        assert np.isfinite(out).all(axis=(1, 2)).tolist() == [True, False, True, True, False]
+
+    def test_modulator_forms_agree_bit_for_bit(self, rng):
+        bench = builtin_benchmark("dsm")
+        n, rows = len(bench.grid()), _DSM_FLOAT_ROWS + 1
+        u, statics = random_block(bench, rows, rng, pieces=n)
+        statics["x3_init"][:3] = -0.0, 0.0, -0.0  # sign(-0.0) is +1 too
+        statics["x1_init"][2] = -0.0
+        p = {**dict(bench.model.params), **statics}
+        floats = _delta_sigma_floats(p, u, bench.dt)
+        assert_same_bits(_delta_sigma_numpy(p, u, bench.dt), floats)
+        # simulate_batch takes the numpy form from _DSM_FLOAT_ROWS rows on
+        for width in (_DSM_FLOAT_ROWS - 1, _DSM_FLOAT_ROWS, _DSM_FLOAT_ROWS + 1):
+            block = simulate_batch(bench, u[:width], {k: v[:width] for k, v in statics.items()})
+            assert_same_bits(block, floats[:width])
+            for row in range(width):
+                alone = simulate_batch(bench, u[row : row + 1],
+                                       {k: v[row : row + 1] for k, v in statics.items()})
+                assert_same_bits(block[row], alone[0])
+                # the reference keeps an initial -0.0, which the model makes 0.0
+                np.testing.assert_array_equal(block[row], loop_reference(
+                    bench.model, u[row], bench.dt, {k: v[row] for k, v in statics.items()}))
+        zeros = floats[[0, 1, 2, 2], [2, 2, 2, 0], 0]  # the initial -0.0s and 0.0
+        assert np.all(zeros == 0.0) and not np.signbit(zeros).any()
+
+    def test_times_built_once_and_read_only(self):
+        bench = builtin_benchmark("cc")
+        assert bench.times is bench.times and not bench.times.flags.writeable
+        np.testing.assert_array_equal(bench.times, bench.grid())
+        grid = bench.grid()
+        grid[0] = 1.0  # a fresh array each call
+        assert bench.grid()[0] == 0.0
+        lower, upper = bench.input_bounds
+        assert lower.tolist() == [[0.0], [0.0]] and upper.tolist() == [[1.0], [1.0]]
+        assert not (lower.flags.writeable or upper.flags.writeable)
+
+
+def assert_same_bits(out, expected):
+    """``out`` equals ``expected`` bit for bit: ``assert_array_equal`` alone
+    takes -0.0 for 0.0."""
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
