@@ -4,6 +4,10 @@ The optimizer works on the unit hypercube; each coordinate maps affinely
 onto one normalized pulse parameter of one input channel (or onto one
 static search parameter).  Parameters left out of the free mask stay at
 the fixed defaults (low=0, period=0.5, width=0.5, high=1, delay=0).
+A :class:`ParamSpace` holds that map as arrays: each coordinate's native
+``lower`` bound and ``widths`` (upper - lower), and the (channel, field)
+indices that the pulse coordinates set; :func:`decode_batch` computes
+``lower + points * widths`` and assigns the pulse columns by those indices.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,8 +52,6 @@ class PulseParam(enum.Enum):
     DELAY = "D"
 
 
-_CANONICAL_ORDER = tuple(PulseParam)
-
 FIXED_DEFAULTS = PulseParams(low_n=0.0, period_n=0.5, width_n=0.5, high_n=1.0, delay_n=0.0)
 
 
@@ -66,7 +67,7 @@ class FreeMask:
 
     @property
     def ordered(self) -> tuple[PulseParam, ...]:
-        return tuple(p for p in _CANONICAL_ORDER if p in self.params)
+        return tuple(p for p in PulseParam if p in self.params)
 
     @property
     def label(self) -> str:
@@ -87,51 +88,25 @@ class FreeMask:
         return cls(frozenset(params), include_static_params)
 
 
-@dataclass(frozen=True)
-class Coordinate:
-    """One optimization coordinate and its native range."""
-
-    channel: str | None  # None for static parameters
-    param: PulseParam | None
-    static_name: str | None
-    lower: float
-    upper: float
-
-    @property
-    def name(self) -> str:
-        if self.channel is not None:
-            return f"{self.channel}.{self.param.value}"
-        return self.static_name
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamSpace:
+    """The search space of one benchmark and free mask, as the arrays that
+    decode a unit-cube point.  ``names``, ``lower`` and ``widths`` give each
+    coordinate's name, native lower bound and native width; the pulse
+    coordinates come first, and ``channels`` and ``fields`` hold the input
+    channel and the :class:`PulseParams` field that each of them sets.  The
+    free static parameters follow, named as declared."""
+
     benchmark: Benchmark
-    mask: FreeMask
-    coords: tuple[Coordinate, ...]
+    names: tuple[str, ...]
+    lower: np.ndarray
+    widths: np.ndarray
+    channels: np.ndarray
+    fields: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.coords)
-
-    # Constants of decode_batch, built once per space.
-
-    @cached_property
-    def _lower(self) -> np.ndarray:
-        return np.array([c.lower for c in self.coords])
-
-    @cached_property
-    def _widths(self) -> np.ndarray:
-        return np.array([c.upper for c in self.coords]) - self._lower
-
-    @cached_property
-    def _targets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (channel, field) indices of the pulse coordinates, which come
-        first, in order."""
-        channels = self.benchmark.input_names
-        pulses = [c for c in self.coords if c.channel is not None]
-        return (np.array([channels.index(c.channel) for c in pulses], dtype=np.intp),
-                np.array([_CANONICAL_ORDER.index(c.param) for c in pulses], dtype=np.intp))
+        return len(self.names)
 
 
 def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
@@ -143,26 +118,26 @@ def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
     """
     if not mask.params:
         raise ValueError("free mask must contain at least one pulse parameter")
-    delay_free = PulseParam.DELAY in mask.params
-    period_upper = 1.0 if delay_free else 2.0
-    coords: list[Coordinate] = []
-    for channel, _ in benchmark.inputs:
-        for param in mask.ordered:
-            upper = period_upper if param is PulseParam.PERIOD else 1.0
-            coords.append(
-                Coordinate(channel=channel, param=param, static_name=None, lower=0.0, upper=upper)
-            )
-    if mask.include_static_params:
-        for p in benchmark.static_params:
-            coords.append(
-                Coordinate(channel=None, param=None, static_name=p.name, lower=p.lower, upper=p.upper)
-            )
-    return ParamSpace(benchmark=benchmark, mask=mask, coords=tuple(coords))
+    period_upper = 1.0 if PulseParam.DELAY in mask.params else 2.0
+    pulses = [(channel, field, f"{name}.{param.value}",
+               period_upper if param is PulseParam.PERIOD else 1.0)
+              for channel, name in enumerate(benchmark.input_names)
+              for field, param in enumerate(PulseParam) if param in mask.params]
+    statics = benchmark.static_params if mask.include_static_params else ()
+    channels, fields, names, upper = zip(*pulses)
+    lower = np.array([0.0] * len(pulses) + [p.lower for p in statics])
+    return ParamSpace(
+        benchmark=benchmark,
+        names=names + tuple(p.name for p in statics),
+        lower=lower,
+        widths=np.array(upper + tuple(p.upper for p in statics)) - lower,
+        channels=np.array(channels, dtype=np.intp),
+        fields=np.array(fields, dtype=np.intp),
+    )
 
 
-# PulseParams fields in L-P-W-H-D order, and their fixed defaults as a column.
-_PULSE_FIELDS = tuple(f.name for f in dataclasses.fields(PulseParams))
-_DEFAULT_FIELDS = np.array([getattr(FIXED_DEFAULTS, name) for name in _PULSE_FIELDS])[:, None]
+# The fixed defaults as a column, in PulseParams field order.
+_DEFAULT_FIELDS = np.array(dataclasses.astuple(FIXED_DEFAULTS))[:, None]
 _DEFAULT_FIELDS.flags.writeable = False
 
 
@@ -184,16 +159,14 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
     if np.any(bad):
         row, column = np.argwhere(bad)[0]
         raise ValueError(
-            f"coordinate {space.coords[column].name} must be in [0, 1], got {points[row, column]}"
+            f"coordinate {space.names[column]} must be in [0, 1], got {points[row, column]}"
         )
-    native = space._lower + points * space._widths
-    fields = np.empty((len(space.benchmark.inputs), len(_PULSE_FIELDS), len(points)))
+    native = space.lower + points * space.widths
+    fields = np.empty((len(space.benchmark.inputs), len(_DEFAULT_FIELDS), len(points)))
     fields[:] = _DEFAULT_FIELDS
-    channel, field = space._targets
-    pulses = len(channel)
-    fields[channel, field] = native[:, :pulses].T
-    statics = {c.static_name: column for column, c in zip(native.T[pulses:], space.coords[pulses:])}
-    return fields, statics
+    pulses = len(space.channels)
+    fields[space.channels, space.fields] = native[:, :pulses].T
+    return fields, dict(zip(space.names[pulses:], native.T[pulses:]))
 
 
 def decode(point: np.ndarray, space: ParamSpace) -> tuple[dict[str, PulseParams], dict[str, float]]:
@@ -250,7 +223,11 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     alone, and of :func:`evaluate_witness` on the point's decoded input.
     An unknown ``spec_name`` raises ``KeyError`` here, not at the first call.
     """
-    benchmark.specs[spec_name]
+    if spec_name not in benchmark.specs:
+        raise KeyError(
+            f"benchmark {benchmark.name!r} has no spec {spec_name!r}; "
+            f"available: {sorted(benchmark.specs)}"
+        )
 
     def objective(points: np.ndarray) -> np.ndarray:
         return score_blocks(benchmark, [(spec_name, *decode_batch(points, space))], semantics)
@@ -340,11 +317,6 @@ def falsify(
     the first negative robustness are discarded, so ``simulations_used``
     and ``history`` are those of the point-by-point search.
     """
-    if spec_name not in benchmark.specs:
-        raise KeyError(
-            f"benchmark {benchmark.name!r} has no spec {spec_name!r}; "
-            f"available: {sorted(benchmark.specs)}"
-        )
     space = build_param_space(benchmark, mask)
     objective = batch_objective(benchmark, spec_name, space, semantics)
     result = minimize(None, space.dimension, config, objective)
@@ -379,9 +351,7 @@ def evaluate_witness(
     scores +inf, as in :func:`batch_objective`; no ``SimulationError`` is
     raised.
     """
-    fields = np.array(
-        [[[getattr(witness.pulses[channel], name)] for name in _PULSE_FIELDS]
-         for channel in benchmark.input_names]
-    )
+    fields = np.array([dataclasses.astuple(witness.pulses[channel])
+                       for channel in benchmark.input_names])[:, :, None]
     statics = {name: np.array([value]) for name, value in witness.static_values.items()}
     return float(score_blocks(benchmark, [(spec_name, fields, statics)], semantics)[0])

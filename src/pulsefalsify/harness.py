@@ -101,7 +101,6 @@ class AggregateRow:
     mask: str
     success_rate: float  # percent
     mean_sims_successful: int | None
-    runs: tuple[RunRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -225,12 +224,8 @@ def aggregate(results: list[RunRecord]) -> list[AggregateRow]:
             if successes
             else None
         )
-        rows.append(
-            AggregateRow(
-                benchmark=bench, spec=spec, mask=mask,
-                success_rate=rate, mean_sims_successful=mean, runs=runs,
-            )
-        )
+        rows.append(AggregateRow(benchmark=bench, spec=spec, mask=mask,
+                                 success_rate=rate, mean_sims_successful=mean))
     return rows
 
 

@@ -222,17 +222,14 @@ class _Budget:
         )
 
 
-def random_search(objective, dim: int, config: OptimizerConfig,
-                  batch_objective=None) -> OptimizationResult:
+def random_search(objective, dim: int, config: OptimizerConfig) -> OptimizationResult:
     """Uniform random sampling until the objective goes negative or the
     budget runs out.
 
-    ``batch_objective``, when given, maps a (B, dim) block of points onto
-    their B objective values, and ``objective`` may then be None.  All
-    points come from one seeded stream, so the result is that of scoring
-    ``objective`` point by point.
+    All points come from one seeded stream, and ``objective`` scores them
+    one at a time, never past the first negative value.
     """
-    return _drive(_random_search(dim, config), objective, batch_objective)
+    return _drive(_random_search(dim, config), objective)
 
 
 def _random_search(dim: int, config: OptimizerConfig):
@@ -321,8 +318,7 @@ def fit_surrogate(points: np.ndarray, values: np.ndarray) -> RbfSurrogate:
     raise SurrogateDegeneracy("surrogate system is singular")
 
 
-def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
-                        batch_objective=None) -> OptimizationResult:
+def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> OptimizationResult:
     """Single-trust-region surrogate minimization.
 
     Latin-hypercube initialization, then one surrogate-guided evaluation per
@@ -335,10 +331,9 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig,
     budget and the best record of the result span all phases.  The result
     counts the restarts, the surrogate fits attempted and those that were
     degenerate.  Each hypercube is scored in blocks and each pick as a block
-    of one; ``batch_objective`` and ``objective`` are as in
-    :func:`random_search`.
+    of one, as in :func:`random_search`.
     """
-    return _drive(_turbo_lite(dim, config), objective, batch_objective)
+    return _drive(_turbo_lite(dim, config), objective)
 
 
 def _turbo_lite(dim: int, config: OptimizerConfig):
@@ -411,11 +406,12 @@ def minimize(objective, dim: int, config: OptimizerConfig,
              batch_objective=None) -> OptimizationResult:
     """Dispatch on ``config.kind``.  Both optimizers score their points in
     blocks, through ``batch_objective`` when it is given, and blocks never
-    change the result (see :func:`random_search`)."""
+    change the result: ``batch_objective`` maps a (B, dim) block of points
+    onto their B objective values, and ``objective`` may then be None."""
     return _drive(searcher(dim, config), objective, batch_objective)
 
 
-def _drive(machine, objective, batch_objective) -> OptimizationResult:
+def _drive(machine, objective, batch_objective=None) -> OptimizationResult:
     """Run one ask/tell machine to its end.  Without ``batch_objective`` the
     scalar ``objective`` is mapped over each block lazily, so it is never
     called past the first negative value."""

@@ -176,6 +176,12 @@ class Benchmark:
     def grid(self) -> np.ndarray:
         return uniform_grid(self.horizon, self.dt)
 
+    def __reduce__(self):
+        """Pickle the init fields only: unpickling validates them again and
+        builds the read-only caches anew."""
+        return Benchmark, (self.name, self.inputs, self.horizon, self.dt, self.model,
+                           self.spec_texts, self.static_params)
+
     @cached_property
     def times(self) -> np.ndarray:
         """The grid, built once and read-only."""
@@ -519,12 +525,11 @@ def simulate_batch(
     ``ValueError`` for unknown static parameters or values outside their
     declared ranges.
     """
-    rows = u.shape[0]
     _, _, defaults, _, dynamics = _MODELS[benchmark.model.kind]
     declared = {s.name: s for s in benchmark.static_params}
     # The params view; each source overrides the ones before it.
     p = {**defaults, **benchmark.model.params,
-         **{name: np.full(rows, s.default) for name, s in declared.items()}}
+         **{name: s.default for name, s in declared.items()}}
     for name, values in (static_values or {}).items():
         if name not in declared:
             raise ValueError(f"unknown static parameter {name!r}")

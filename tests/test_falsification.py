@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -19,8 +20,9 @@ from pulsefalsify.falsification import (
     score_blocks,
     synthesize_batch,
 )
+from pulsefalsify.harness import SWEEP_MASK_LABELS
 from pulsefalsify.optimizers import OptimizerConfig, turbo_lite_minimize
-from pulsefalsify.signals import Signal, synthesize_pulse
+from pulsefalsify.signals import PulseParams, Signal, synthesize_pulse
 from pulsefalsify.systems import (
     SimulationError,
     builtin_benchmark,
@@ -78,31 +80,76 @@ class TestBuildParamSpace:
         lag = builtin_benchmark("lag")
         with_delay = build_param_space(lag, FreeMask.from_label("P-D"))
         assert with_delay.dimension == 2
-        period = [c for c in with_delay.coords if c.param is PulseParam.PERIOD][0]
-        assert period.upper == 1.0
+        period = with_delay.names.index("u.P")
+        assert with_delay.lower[period] + with_delay.widths[period] == 1.0
         without_delay = build_param_space(lag, FreeMask.from_label("P"))
-        period = [c for c in without_delay.coords if c.param is PulseParam.PERIOD][0]
-        assert period.upper == 2.0
+        period = without_delay.names.index("u.P")
+        assert without_delay.lower[period] + without_delay.widths[period] == 2.0
 
     def test_coordinate_order(self):
         space = build_param_space(builtin_benchmark("cc"), FreeMask.from_label("W-L-P"))
-        names = [c.name for c in space.coords]
-        assert names == ["throttle.L", "throttle.P", "throttle.W",
-                         "brake.L", "brake.P", "brake.W"]
+        assert list(space.names) == ["throttle.L", "throttle.P", "throttle.W",
+                                     "brake.L", "brake.P", "brake.W"]
 
     def test_static_params_appended(self):
         dsm = builtin_benchmark("dsm")
         space = build_param_space(dsm, FreeMask.from_label("W", include_static_params=True))
         assert space.dimension == 1 + 3
-        assert [c.name for c in space.coords[1:]] == ["x1_init", "x2_init", "x3_init"]
-        assert space.coords[1].lower == -0.1 and space.coords[1].upper == 0.1
+        assert list(space.names[1:]) == ["x1_init", "x2_init", "x3_init"]
+        assert space.lower[1] == -0.1 and space.lower[1] + space.widths[1] == 0.1
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
             build_param_space(builtin_benchmark("lag"), FreeMask(frozenset()))
 
 
+def documented_decode(bench, label, include_static, point):
+    """Per-channel L-P-W-H-D fields and static values of ``point``, by the
+    documented rule: per channel the masked fields in L-P-W-H-D order, the
+    period spanning [0, 1] when the delay is free and [0, 2] otherwise,
+    the unmasked fields at 0/0.5/0.5/1/0, then the statics in declaration
+    order."""
+    letters = label.split("-")
+    period_upper = 1.0 if "D" in letters else 2.0
+    values = iter(point.tolist())
+    pulses = {}
+    for channel in bench.input_names:
+        fields = dict(zip("LPWHD", (0.0, 0.5, 0.5, 1.0, 0.0)))
+        for letter in "LPWHD":
+            if letter in letters:
+                fields[letter] = next(values) * (period_upper if letter == "P" else 1.0)
+        pulses[channel] = PulseParams(*fields.values())
+    statics = {}
+    for p in bench.static_params if include_static else ():
+        statics[p.name] = p.lower + next(values) * (p.upper - p.lower)
+    assert next(values, None) is None
+    return pulses, statics
+
+
 class TestDecode:
+    def test_pulse_param_letters_follow_pulse_params_fields(self):
+        assert "".join(p.value for p in PulseParam) == "LPWHD"
+        assert [p.name.lower() + "_n" for p in PulseParam] == [
+            f.name for f in dataclasses.fields(PulseParams)]
+
+    @pytest.mark.parametrize("include_static", [False, True])
+    @pytest.mark.parametrize("label", SWEEP_MASK_LABELS)
+    @pytest.mark.parametrize("name", builtin_benchmark_names())
+    def test_decode_follows_documented_rule(self, name, label, include_static):
+        bench = builtin_benchmark(name)
+        space = build_param_space(bench, FreeMask.from_label(label, include_static))
+        dim = space.dimension
+        points = np.array([np.zeros(dim), np.ones(dim),
+                           np.random.default_rng(dim).random(dim)])
+        fields, statics = decode_batch(points, space)
+        for row, point in enumerate(points):
+            pulses, static_values = documented_decode(bench, label, include_static, point)
+            assert decode(point, space) == (pulses, static_values)
+            for i, channel in enumerate(bench.input_names):
+                assert fields[i, :, row].tolist() == list(dataclasses.astuple(pulses[channel]))
+            assert list(statics) == list(static_values)
+            assert [v[row] for v in statics.values()] == list(static_values.values())
+
     def test_period_affine_map(self):
         space = build_param_space(builtin_benchmark("lag"), FreeMask.from_label("P"))
         pulses, statics = decode(np.array([0.5]), space)

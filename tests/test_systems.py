@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -805,6 +806,16 @@ class TestBatchedModels:
         lower, upper = bench.input_bounds
         assert lower.tolist() == [[0.0], [0.0]] and upper.tolist() == [[1.0], [1.0]]
         assert not (lower.flags.writeable or upper.flags.writeable)
+
+    @pytest.mark.parametrize("name", builtin_benchmark_names())
+    def test_pickle_keeps_caches_read_only(self, name):
+        bench = builtin_benchmark(name)
+        bench.times, bench.input_bounds  # cached before pickling
+        copy = pickle.loads(pickle.dumps(bench))
+        assert copy == bench
+        arrays = (copy.times, *copy.input_bounds)
+        assert not any(a.flags.writeable for a in arrays)
+        np.testing.assert_array_equal(copy.times, bench.times)
 
 
 def assert_same_bits(out, expected):
