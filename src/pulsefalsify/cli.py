@@ -108,7 +108,7 @@ def _cmd_run(args) -> int:
     config = OptimizerConfig(kind=_OPTIMIZER_NAMES[args.optimizer],
                              budget=args.budget, seed=args.seed)
     outcome = falsify(benchmark, args.spec, mask, config, args.semantics)
-    # A row whose simulation turned non-finite scores +inf.
+    # A row whose trace or robustness is not finite scores +inf.
     counters = (f"restarts={outcome.restarts} surrogate_fits={outcome.surrogate_fits} "
                 f"degenerate_fits={outcome.degenerate_fits} "
                 f"diverged={outcome.history.count(math.inf)}")

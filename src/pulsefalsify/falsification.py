@@ -218,16 +218,12 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     """The falsification objective on blocks of points.
 
     The returned function maps a (B, dim) block of unit-cube points onto
-    the B robustness values of ``spec_name``; a row whose simulation
-    diverged scores +inf.  Each value equals that of the point evaluated
-    alone, and of :func:`evaluate_witness` on the point's decoded input.
-    An unknown ``spec_name`` raises ``KeyError`` here, not at the first call.
+    the B robustness values of ``spec_name`` that :func:`score_blocks` gives.
+    Each value equals that of the point evaluated alone, and of
+    :func:`evaluate_witness` on the point's decoded input.  An unknown
+    ``spec_name`` raises ``KeyError`` here, not at the first call.
     """
-    if spec_name not in benchmark.specs:
-        raise KeyError(
-            f"benchmark {benchmark.name!r} has no spec {spec_name!r}; "
-            f"available: {sorted(benchmark.specs)}"
-        )
+    benchmark.spec(spec_name)
 
     def objective(points: np.ndarray) -> np.ndarray:
         return score_blocks(benchmark, [(spec_name, *decode_batch(points, space))], semantics)
@@ -263,16 +259,16 @@ def _chunk_bounds(benchmark: Benchmark, rows: int) -> list[int]:
 
 def score_blocks(benchmark: Benchmark, blocks, semantics: str = "classic") -> np.ndarray:
     """The robustness values of the rows of ``blocks``, in order, each row
-    against its own block's spec; a row with a non-finite output or input
-    sample scores +inf.  Each block is a ``(spec name, fields, statics)``
-    triple as :func:`decode_batch` returns them, and every spec is looked up
-    before anything is simulated.  The rows are simulated together in the
-    chunks of :func:`_chunk_bounds`, each monitored as it is simulated.
-    Rows never mix, so every row gets the value it gets alone.
+    against its own block's spec.  Each block is a ``(spec name, fields,
+    statics)`` triple as :func:`decode_batch` returns them, and every spec
+    is looked up before anything is simulated.  The rows are simulated
+    together in the chunks of :func:`_chunk_bounds`, each monitored whole as
+    it is simulated; a row whose input, output or robustness is not finite
+    scores +inf.  Rows never mix, so every row gets the value it gets alone.
     """
     runs, rows = [], 0  # [formula, first row, end row] per run of blocks sharing a spec
     for spec, block, _ in blocks:
-        formula, end = benchmark.specs[spec], rows + block.shape[2]
+        formula, end = benchmark.spec(spec), rows + block.shape[2]
         if runs and runs[-1][0] is formula:
             runs[-1][2] = end
         else:
@@ -281,24 +277,21 @@ def score_blocks(benchmark: Benchmark, blocks, semantics: str = "classic") -> np
     fields = np.concatenate([block for _, block, _ in blocks], axis=2)
     statics = {name: np.concatenate([given[name] for _, _, given in blocks])
                for name in blocks[0][2]}
-    values = np.full(rows, math.inf)
+    values = np.empty(rows)
     bounds = _chunk_bounds(benchmark, rows)
-    for start, stop in zip(bounds, bounds[1:]):
-        u = synthesize_batch(benchmark, fields[:, :, start:stop])
-        y = simulate_batch(benchmark, u, {name: v[start:stop] for name, v in statics.items()})
-        finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
-        for formula, first, end in runs:
-            mine = slice(max(first, start) - start, min(end, stop) - start)
-            if mine.start >= mine.stop:
-                continue
-            if not finite[mine].all():  # no copy unless a row diverged
-                mine = np.flatnonzero(finite[mine]) + mine.start
-                if not len(mine):
-                    continue
-            channels = dict(zip(benchmark.output_names, y[mine].transpose(1, 0, 2)))
-            channels.update(zip(benchmark.input_names, u[mine].transpose(1, 0, 2)))
-            values[start:stop][mine] = stl.robustness_batch(
-                formula, channels, benchmark.dt, semantics)
+    with np.errstate(all="ignore"):  # what overflows is sent to +inf below
+        for start, stop in zip(bounds, bounds[1:]):
+            u = synthesize_batch(benchmark, fields[:, :, start:stop])
+            y = simulate_batch(benchmark, u, {name: v[start:stop] for name, v in statics.items()})
+            for formula, first, end in runs:
+                mine = slice(max(first, start) - start, min(end, stop) - start)
+                if mine.start < mine.stop:
+                    channels = dict(zip(benchmark.output_names, y[mine].transpose(1, 0, 2)))
+                    channels.update(zip(benchmark.input_names, u[mine].transpose(1, 0, 2)))
+                    values[start:stop][mine] = stl.robustness_batch(
+                        formula, channels, benchmark.dt, semantics)
+            finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
+            values[start:stop][~(finite & np.isfinite(values[start:stop]))] = math.inf
     return values
 
 

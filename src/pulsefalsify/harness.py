@@ -2,12 +2,14 @@
 
 An experiment runs every (spec, mask, repetition) cell with a seed derived
 from the base seed and a stable hash of the cell key, so results are
-reproducible and independent of execution order.  The cells of one
-benchmark run in lockstep, in one thread: each is an ask/tell search, and
-at every step the pending points of all live searches, across specs, are
-decoded and scored as one block by ``falsification.score_blocks``, the
-scorer that ``falsify`` and witness replay use.  Rows never mix, so every
-search gets the values it would get alone.
+reproducible and independent of execution order.  ``ExperimentConfig``
+rejects a name given twice, and a spec that a benchmark lacks, before any
+cell runs.  The cells of one benchmark run in lockstep, in one thread: each
+is an ask/tell search, and at every step the pending points of all live
+searches, across specs, are decoded and scored as one block by
+``falsification.score_blocks``, the scorer that ``falsify`` and witness
+replay use.  It scores a row that cannot be scored +inf, and rows never
+mix, so every search gets the values it would get alone.
 ``ExperimentConfig.parallelism`` is accepted for compatibility and does not
 change how the cells run.
 """
@@ -76,9 +78,13 @@ class ExperimentConfig:
         if not self.mask_labels:
             raise ValueError("mask list must be non-empty")
         labels = tuple(FreeMask.from_label(label).label for label in self.mask_labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"mask list names one mask twice: {list(self.mask_labels)}")
         object.__setattr__(self, "mask_labels", labels)
+        for kind, names in (("benchmark", [b.name for b in self.benchmarks]),
+                            ("spec", self.spec_names or ()), ("mask", labels)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"{kind} list names one {kind} twice: {list(names)}")
+        for benchmark, spec in itertools.product(self.benchmarks, self.spec_names or ()):
+            benchmark.spec(spec)  # raises KeyError
 
 
 @dataclass(frozen=True)
@@ -118,17 +124,6 @@ def cell_seed(base_seed: int, benchmark: str, spec: str, mask: str, rep: int) ->
     return (base_seed + int.from_bytes(digest[:8], "big")) % (2**63)
 
 
-def _cells(config: ExperimentConfig):
-    for benchmark in config.benchmarks:
-        specs = config.spec_names or tuple(sorted(benchmark.specs))
-        for spec in specs:
-            if spec not in benchmark.specs:
-                raise KeyError(f"benchmark {benchmark.name!r} has no spec {spec!r}")
-            for mask in config.mask_labels:
-                for rep in range(config.repetitions):
-                    yield benchmark, spec, mask, rep
-
-
 @dataclass
 class _Search:
     """A live cell: its record's leading fields, its search space, and its
@@ -150,12 +145,13 @@ def _record(cell: tuple, result=None, error: Exception | None = None) -> RunReco
                      best_robustness=result.best.value)
 
 
-def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list[RunRecord]:
+def _run_lockstep(benchmark: Benchmark, config: ExperimentConfig) -> list[RunRecord]:
     """Run the cells of one benchmark side by side.  Every machine is built
     and asked for its first block before any point is scored; a cell whose
     machine or decode raises becomes an error record and leaves the rest."""
+    specs = config.spec_names or sorted(benchmark.specs)
     records, live = [], []
-    for _, spec, label, rep in cells:
+    for spec, label, rep in itertools.product(specs, config.mask_labels, range(config.repetitions)):
         seed = cell_seed(config.base_seed, benchmark.name, spec, label, rep)
         cell = (benchmark.name, spec, label, rep, seed)
         try:
@@ -197,11 +193,8 @@ def _run_lockstep(benchmark: Benchmark, cells, config: ExperimentConfig) -> list
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:
     """Run all cells, those of each benchmark in lockstep; the result list
     is sorted by cell key."""
-    cells = list(_cells(config))  # raises on an unknown spec before any cell runs
-    records = []
-    for _, group in itertools.groupby(cells, key=lambda cell: id(cell[0])):
-        group = list(group)
-        records += _run_lockstep(group[0][0], group, config)
+    records = [record for benchmark in config.benchmarks
+               for record in _run_lockstep(benchmark, config)]
     records.sort(key=lambda rec: (rec.benchmark, rec.spec, rec.mask, rec.rep))
     return records
 

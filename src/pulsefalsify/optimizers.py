@@ -188,7 +188,7 @@ class _Budget:
         record them in order, up to the first negative value or the end of
         the budget; the values of any later points are discarded.  The
         values may be a lazy iterable, which is not read past the first
-        negative value."""
+        negative value; fewer values, none negative, raise ``ValueError``."""
         # a copy: a caller may keep a block, which must not pin turbo's candidates
         points = np.array(points, dtype=float)
         start = 0
@@ -205,6 +205,9 @@ class _Budget:
                 if value < 0:
                     self.negative = True
                     break
+            if not self.negative and self.used - first < len(chunk):
+                raise ValueError(f"objective returned {self.used - first} values "
+                                 f"for {len(chunk)} points")
             self.points[first:self.used] = chunk[:self.used - first]
 
     def result(self) -> OptimizationResult:

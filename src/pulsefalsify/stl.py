@@ -522,30 +522,23 @@ def _is_additive(semantics: str) -> bool:
     return semantics == "additive"
 
 
-def _robustness_at(f: Formula, channels: Mapping[str, np.ndarray], dt: float,
-                   additive: bool, idx: int, t0: float, end_time: float) -> np.ndarray:
-    values = _eval(f, channels, dt, additive)
-    if idx >= values.shape[1]:
-        raise ValueError(
-            f"trace too short: formula horizon {horizon_of(f)} s does not fit "
-            f"after t0={t0} within end time {end_time} s"
-        )
-    out = values[:, idx]
-    if not np.all(np.isfinite(out)):
-        raise ValueError("robustness is non-finite; trace contains bad values")
-    return out
-
-
 def robustness(f: Formula, trace: Signal, t0: float = 0.0, semantics: str = "classic") -> float:
     """Quantitative robustness of ``f`` on ``trace`` at time ``t0``.
 
     ``semantics`` is ``"classic"`` or ``"additive"``.  Raises ``ValueError``
-    when the trace is too short for the formula's temporal horizon.
+    when the trace is too short for the formula's temporal horizon, and
+    when the robustness is not finite.
     """
-    additive = _is_additive(semantics)
     idx = _t0_index(trace, t0)
     channels = {name: c[None, :] for name, c in zip(trace.channel_names, trace.channels)}
-    return float(_robustness_at(f, channels, trace.dt, additive, idx, t0, trace.end_time)[0])
+    values = _eval(f, channels, trace.dt, _is_additive(semantics))
+    if idx >= values.shape[1]:
+        raise ValueError(f"trace too short: formula horizon {horizon_of(f)} s does not fit "
+                         f"after t0={t0} within end time {trace.end_time} s")
+    value = float(values[0, idx])
+    if not math.isfinite(value):
+        raise ValueError("robustness is non-finite; trace contains bad values")
+    return value
 
 
 def robustness_batch(f: Formula, channels: Mapping[str, np.ndarray], dt: float,
@@ -554,9 +547,12 @@ def robustness_batch(f: Formula, channels: Mapping[str, np.ndarray], dt: float,
 
     ``channels`` maps every channel name to a (B, n) array sampled on the
     uniform grid {0, dt, ..., (n-1)*dt}.  Entry b of the result equals
-    :func:`robustness` of trace b alone.
+    :func:`robustness` of trace b alone, but is returned even if it is not
+    finite.  Raises ``ValueError`` when the traces are too short.
     """
-    additive = _is_additive(semantics)
-    n = next(iter(channels.values())).shape[1]
-    return _robustness_at(f, channels, dt, additive, 0, 0.0, (n - 1) * dt)
-
+    values = _eval(f, channels, dt, _is_additive(semantics))
+    if not values.shape[1]:
+        n = next(iter(channels.values())).shape[1]
+        raise ValueError(f"trace too short: formula horizon {horizon_of(f)} s does not fit "
+                         f"within end time {(n - 1) * dt} s")
+    return values[:, 0]

@@ -176,6 +176,13 @@ class Benchmark:
     def grid(self) -> np.ndarray:
         return uniform_grid(self.horizon, self.dt)
 
+    def spec(self, name: str) -> stl.Formula:
+        """The parsed spec ``name``, else a KeyError naming the specs."""
+        if name not in self.specs:
+            raise KeyError(f"benchmark {self.name!r} has no spec {name!r}; "
+                           f"available: {sorted(self.specs)}")
+        return self.specs[name]
+
     def __reduce__(self):
         """Pickle the init fields only: unpickling validates them again and
         builds the read-only caches anew."""

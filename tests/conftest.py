@@ -27,6 +27,19 @@ from pulsefalsify.stl import (
 
 GRID_TOL = 1e-9
 
+# A switched system whose input u1 spans [0, 1.5e308] and, with zero input
+# gains, drives nothing: every trace is finite, but "2*u1" overflows where
+# u1 passes half the largest float, so spec "big" has no finite robustness
+# there.  Spec "plain" reads x1 only and is 1 on every trace.
+OVERFLOW_DOC = {
+    "name": "overflow", "horizon": 1.0, "dt": 0.2,
+    "inputs": [{"name": "u1", "min": 0.0, "max": 1.5e308},
+               {"name": "u2", "min": -1.0, "max": 1.0}],
+    "model": {"kind": "switched_system",
+              "params": {"b_11": 0.0, "b_12": 0.0, "b_21": 0.0, "b_22": 0.0}},
+    "specs": {"big": "alw[0,1](2*u1 <= 1e308)", "plain": "alw[0,1](x1 <= 1)"},
+}
+
 
 def window_indices(a: float, b: float, dt: float) -> tuple[int, int]:
     lo = int(math.ceil(a / dt - GRID_TOL))

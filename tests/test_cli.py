@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from conftest import OVERFLOW_DOC
 
 from pulsefalsify.cli import main
 from pulsefalsify.falsification import FreeMask, falsify
@@ -117,6 +118,22 @@ class TestRun:
         assert 0 < diverged < len(outcome.history) == 20
         assert lines[1].endswith(f" diverged={diverged}")
 
+    def test_overflowing_robustness_counts_as_diverged(self, tmp_path, capsys):
+        # mask H frees u1's high level over [0, 1.5e308]: "2*u1 <= 1e308"
+        # overflows above 0.9e308 and is violated between 0.5e308 and that
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        code = main(["run", "--benchmark", str(path), "--spec", "big", "--mask", "H",
+                     "--optimizer", "random", "--budget", "50", "--seed", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        outcome = falsify(load_benchmark_file(str(path)), "big", FreeMask.from_label("H"),
+                          OptimizerConfig(kind="random_search", budget=50, seed=0))
+        diverged = outcome.history.count(math.inf)
+        assert outcome.falsified and 0 < diverged < len(outcome.history)
+        assert lines[0].startswith(f"FALSIFIED overflow/big mask=H sims={len(outcome.history)} ")
+        assert lines[1].endswith(f" diverged={diverged}")
+
     def test_unknown_spec_exits_2(self, lag_file, capsys):
         code = main([
             "run", "--benchmark", lag_file, "--spec", "nope", "--mask", "W",
@@ -217,6 +234,19 @@ class TestSweep:
         ])
         assert code == 2
         assert "twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("twice, kind", [
+        (["--benchmark", "LAG", "--spec", "phi1", "--spec", "phi1"], "spec"),
+        (["--benchmark", "LAG", "--benchmark", "LAG"], "benchmark"),
+    ])
+    def test_a_name_given_twice_exits_2(self, lag_file, tmp_path, capsys, twice, kind):
+        out_dir = tmp_path / "o"
+        code = main(["sweep"] + [lag_file if arg == "LAG" else arg for arg in twice] + [
+            "--masks", "W", "--reps", "1", "--budget", "10", "--optimizer", "random",
+            "--out", str(out_dir)])
+        assert code == 2
+        assert f"{kind} list names one {kind} twice" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_bad_mask_list_exits_2(self, lag_file, tmp_path, capsys):
         code = main([

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import OVERFLOW_DOC
 
 from pulsefalsify import falsification, harness
 from pulsefalsify.falsification import FreeMask, falsify
@@ -19,7 +21,7 @@ from pulsefalsify.harness import (
     write_errors,
 )
 from pulsefalsify.optimizers import MAX_BLOCK, OptimizerConfig
-from pulsefalsify.systems import _CC_FLOAT_ROWS, builtin_benchmark
+from pulsefalsify.systems import _CC_FLOAT_ROWS, builtin_benchmark, load_benchmark
 
 
 def record(spec="phi", mask="W", rep=0, falsified=True, sims=10, bench="b"):
@@ -77,6 +79,26 @@ class TestRunExperiment:
     def test_unknown_spec_raises(self):
         with pytest.raises(KeyError):
             run_experiment(self.make_config(spec_names=("missing",)))
+
+    def test_unknown_spec_fails_when_the_config_is_built(self):
+        # lag has phi1 and phi2, but ss has phi1 only
+        with pytest.raises(KeyError, match=r"benchmark 'ss' has no spec 'phi2'; "
+                                           r"available: \['phi1'\]"):
+            self.make_config(benchmarks=(builtin_benchmark("lag"), builtin_benchmark("ss")),
+                             spec_names=("phi1", "phi2"))
+
+    def test_one_spec_named_twice_is_rejected(self):
+        with pytest.raises(ValueError, match=r"spec list names one spec twice"):
+            self.make_config(spec_names=("phi1", "phi2", "phi1"))
+
+    def test_one_benchmark_named_twice_is_rejected(self):
+        lag = builtin_benchmark("lag")
+        with pytest.raises(ValueError, match=r"benchmark list names one benchmark twice"):
+            self.make_config(benchmarks=(lag, lag))
+        # two different configs that share a name would merge their rows
+        other = load_benchmark(json.dumps({**OVERFLOW_DOC, "name": "lag"}))
+        with pytest.raises(ValueError, match=r"twice: \['lag', 'lag'\]"):
+            self.make_config(benchmarks=(lag, other), spec_names=None)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -362,6 +384,27 @@ class TestLockstep:
         runs[1] = RunRecord(**{**runs[1].__dict__, "error": "ValueError: bad"})
         lines = write_errors(runs, tmp_path / "b").read_text().splitlines()
         assert lines[1:] == [f"b,phi,W,1,{runs[1].seed},ValueError: bad"]
+
+
+class TestUnscoreableRows:
+    """A row whose trace is finite but whose robustness overflows scores
+    +inf, and leaves the other rows of its chunk, other specs' included."""
+
+    def sweep(self, specs):
+        return run_experiment(ExperimentConfig(
+            benchmarks=(load_benchmark(json.dumps(OVERFLOW_DOC)),), spec_names=specs,
+            mask_labels=("H", "L"), repetitions=2, budget=50, optimizer="turbo_lite"))
+
+    def test_overflowing_rows_leave_their_chunk(self):
+        records = self.sweep(("big", "plain"))
+        assert [r.error for r in records] == [None] * 8
+        # with L free, u1 stays at its upper bound 1.5e308 in the pulse's
+        # high phase, so no row of spec big has a finite robustness
+        assert [(r.falsified, r.sims, r.best_robustness) for r in records if r.mask == "L"
+                and r.spec == "big"] == [(False, 50, math.inf)] * 2
+        plain = [r for r in records if r.spec == "plain"]
+        assert [r.best_robustness for r in plain] == [1.0] * 4
+        assert plain == self.sweep(("plain",))
 
 
 class TestSweepLabels:

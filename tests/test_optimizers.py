@@ -332,6 +332,32 @@ class TestAskTell:
         assert max(asked) <= optimizers.MAX_BLOCK
         assert sum(asked) >= result.evaluations_used
 
+    @pytest.mark.parametrize("kind", ["random_search", "turbo_lite"])
+    def test_a_short_batch_objective_raises(self, kind):
+        # one value short of every block; the machine used to ask for the
+        # missing point again and again, so a runaway raises another error
+        calls = []
+
+        def short(points):
+            calls.append(len(points))
+            if len(calls) > 10:
+                raise RuntimeError("still asking")
+            return np.ones(len(points) - 1)
+
+        config = OptimizerConfig(kind=kind, budget=20, seed=0)
+        with pytest.raises(ValueError, match="objective returned 0 values for 1 points"):
+            minimize(None, 2, config, short)
+        assert calls == [1]
+
+    def test_a_short_block_that_goes_negative_stops(self):
+        # the second block has two points, and its one value is negative:
+        # no value past the first negative one is needed
+        told = iter([[0.5], [-1.0]])
+        result = minimize(None, 2, OptimizerConfig(kind="random_search", budget=20, seed=0),
+                          lambda points: np.array(next(told)))
+        assert [r.value for r in result.history] == [0.5, -1.0]
+        assert result.evaluations_used == 2
+
     def test_checks_run_at_the_first_ask(self):
         machine = searcher(5, OptimizerConfig(kind="turbo_lite", budget=5, seed=0))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import (
+    OVERFLOW_DOC,
     additive_and,
     additive_or,
     boolean_eval,
@@ -30,6 +31,7 @@ from pulsefalsify.stl import (
     horizon_of,
     parse,
     robustness,
+    robustness_batch,
 )
 from pulsefalsify.stl import _eval, _until, _windows
 
@@ -160,6 +162,20 @@ class TestClassicRobustness:
     def test_trace_too_short(self):
         with pytest.raises(ValueError):
             robustness(parse("alw[0,2](y < 1)"), ramp_trace(), 0.0, "classic")
+        with pytest.raises(ValueError, match="trace too short"):
+            robustness_batch(parse("alw[0,2](y < 1)"), {"y": ramp_trace().channels[0][None]},
+                             0.1)
+
+    @pytest.mark.parametrize("semantics", ["classic", "additive"])
+    def test_overflowing_margin(self, semantics):
+        # finite samples whose margin overflows: a trace raises, while a
+        # batch returns the value as computed, for its caller to judge
+        f = parse(OVERFLOW_DOC["specs"]["big"])
+        u1 = np.full(6, 1.5e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="robustness is non-finite"):
+                robustness(f, Signal(np.arange(6) * 0.2, (u1,), ("u1",)), 0.0, semantics)
+            assert robustness_batch(f, {"u1": u1[None]}, 0.2, semantics).tolist() == [-math.inf]
 
     def test_t0_shifts_evaluation(self):
         tr = ramp_trace()

@@ -214,6 +214,13 @@ class TestSimulationFailures:
 
 
 class TestLoadBenchmark:
+    def test_spec_looks_a_spec_up(self):
+        bench = builtin_benchmark("lag")
+        assert bench.spec("phi2") is bench.specs["phi2"]
+        with pytest.raises(KeyError, match=re.escape(
+                "benchmark 'lag' has no spec 'phi3'; available: ['phi1', 'phi2']")):
+            bench.spec("phi3")
+
     def base_doc(self):
         return {
             "name": "demo", "horizon": 10.0, "dt": 0.1,
