@@ -36,18 +36,37 @@ _OPTIMIZER_NAMES = {"random": "random_search", "random_search": "random_search",
 
 def _load_trace_csv(path: str) -> Signal:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
+        header = next(csv.reader(fh), [])
+        body = fh.readlines()
+    if not any(line.strip() for line in body):
         raise ValueError(f"trace file {path} has no samples")
     if "time" not in header:
         raise ValueError(f"trace file {path} needs a 'time' column")
-    data = np.array(rows)
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        if data.shape[1] != len(header):
+            raise ValueError(f"the header has {len(header)} columns, the rows {data.shape[1]}")
+    except ValueError as exc:
+        raise ValueError(_bad_row(path, body, len(header)) or f"trace file {path}: {exc}") from None
     t_idx = header.index("time")
     names = tuple(name for i, name in enumerate(header) if i != t_idx)
     channels = tuple(data[:, i] for i, name in enumerate(header) if i != t_idx)
     return Signal(times=data[:, t_idx], channels=channels, channel_names=names)
+
+
+def _bad_row(path: str, body: list[str], width: int) -> str | None:
+    """Where and why the first bad row of a trace file's ``body`` fails:
+    a row of other than ``width`` values, or a value that is not a number."""
+    for line, row in enumerate(csv.reader(body), start=2):
+        if row and len(row) != width:
+            return (f"trace file {path}, line {line}: the header has {width} columns, "
+                    f"this row {len(row)}")
+        for value in row:
+            try:
+                float(value)
+            except ValueError:
+                return f"trace file {path}, line {line}: {value!r} is not a number"
+    return None
 
 
 def _add_optimizer_args(parser: argparse.ArgumentParser) -> None:

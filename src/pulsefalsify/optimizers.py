@@ -188,7 +188,8 @@ class _Budget:
         record them in order, up to the first negative value or the end of
         the budget; the values of any later points are discarded.  The
         values may be a lazy iterable, which is not read past the first
-        negative value; fewer values, none negative, raise ``ValueError``."""
+        negative value; fewer values, none negative, or more values than
+        points raise ``ValueError``."""
         # a copy: a caller may keep a block, which must not pin turbo's candidates
         points = np.array(points, dtype=float)
         start = 0
@@ -196,6 +197,9 @@ class _Budget:
             chunk = points[start:start + self.block]
             start += len(chunk)
             values = yield chunk
+            if hasattr(values, "__len__") and len(values) > len(chunk):
+                raise ValueError(f"objective returned {len(values)} values "
+                                 f"for {len(chunk)} points")
             first = self.used
             self._reserve(first + len(chunk))
             for value in itertools.islice(values, len(chunk)):

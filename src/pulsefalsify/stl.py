@@ -1,6 +1,8 @@
 """STL formulas: parsing and quantitative robustness over finite traces.
 
-Formulas are evaluated on piecewise-constant traces at grid instants only.
+Formulas are evaluated on piecewise-constant traces at grid instants only,
+and the value at an instant t0 from the samples between t0 and t0 plus the
+formula's reach, the sum of the window ends along its deepest path.
 Two quantitative semantics are provided:
 
 * ``classic`` -- min/max robustness in the style of Donze/Maler.
@@ -59,6 +61,14 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-9
+# Until takes its window offsets in slabs of at most _UNTIL_SLAB values, a
+# value being one trace of B at one of n_out instants for one offset.  An
+# accumulation along the offsets costs numpy about 7 ns a value, and a pass
+# over one offset about 10 us of calls (2-vCPU x86, numpy 2.4), so slabs pay
+# only on narrow blocks: a block of more than _UNTIL_WIDE values an offset
+# goes one offset at a time.
+_UNTIL_SLAB = 2**14
+_UNTIL_WIDE = 2**9
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +412,9 @@ def parse(text: str) -> Formula:
 # Each node is evaluated into a (B, m) array of robustness values, one row
 # per trace of a batch, over the valid prefix of the traces: entry [b, i] is
 # the robustness of trace b at grid instant i, and m shrinks by the node's
-# temporal window so every entry is backed by actual trace data.
+# temporal window so every entry is backed by actual trace data.  A value at
+# one instant reads the samples from there through the formula's reach (see
+# ``_reach``), so the public functions evaluate those samples only.
 
 
 def _interval_steps(a: float, b: float, dt: float) -> tuple[int, int]:
@@ -444,31 +456,55 @@ def _conj(values: np.ndarray, axis: int, additive: bool, window: int | None = No
     return np.where(low > 0, low, negative.sum(axis=axis))
 
 
+def _accumulate(op, carry: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The values that a loop of ``carry = op(carry, values[j])`` holds
+    after each step j along the first axis of ``values``.  A single step is
+    taken in place, in ``carry``; more steps go into a new array."""
+    if len(values) == 1:
+        return op(carry, values, out=carry)
+    out = np.concatenate([op(carry, values[:1]), values[1:]])
+    return op.accumulate(out, axis=0, out=out)
+
+
 def _until(left: np.ndarray, right: np.ndarray, lo: int, hi: int, additive: bool) -> np.ndarray:
-    """Until robustness from (B, m) operand values, one array pass per window
-    offset d: the candidate at d joins ``right`` at i+d with ``left`` held
-    over i..i+d, and the result is the disjunction of the candidates for d
-    in [lo, hi]."""
+    """Until robustness from (B, m) operand values.  The candidate at window
+    offset d joins ``right`` at i+d with ``left`` held over i..i+d, and the
+    result is the disjunction of the candidates for d in [lo, hi].
+
+    The offsets go in slabs, (offsets, B, n_out) views of the operands.  The
+    held minimum, its negative sum, the best candidate and the positive sum
+    of the candidates are accumulations along the offsets, carried from one
+    slab to the next in the order of a loop over the offsets, so no value
+    depends on how the offsets are cut into slabs."""
     n_out = max(min(left.shape[1], right.shape[1]) - hi, 0)
-    hold = np.full((len(left), n_out), math.inf)
+    if not len(left) * n_out:
+        return np.empty((len(left), n_out))
+    # the running values, carried as (1, B, n_out) slabs of one offset
+    hold = np.full((1, len(left), n_out), math.inf)
     hold_negsum = np.zeros_like(hold)
     best = np.full_like(hold, -math.inf)
     possum = np.zeros_like(hold)
-    for d in range(hi + 1):
-        left_d = left[:, d : d + n_out]
-        hold = np.minimum(hold, left_d)
+    # entry [d, b, i] of an operand's offsets is its value [b, i + d]
+    lefts, rights = (_windows(x, n_out, 1).transpose(1, 0, 2)[:hi + 1] for x in (left, right))
+    step = 1 if hold.size > _UNTIL_WIDE else max(_UNTIL_SLAB // hold.size, 1)
+    for start in range(0, hi + 1, step):
+        left_s = lefts[start:start + step]
+        held = _accumulate(np.minimum, hold, left_s)
+        hold = held[-1:]
         if additive:
-            hold_negsum += np.minimum(left_d, 0.0)
-        if d < lo:
+            negsum = _accumulate(np.add, hold_negsum, np.minimum(left_s, 0.0))
+            hold_negsum = negsum[-1:]
+            held = np.where(held > 0, held, negsum)
+        skip = max(lo - start, 0)
+        if skip >= len(held):
             continue
-        held = np.where(hold > 0, hold, hold_negsum) if additive else hold
-        cand = _conj(np.stack([right[:, d : d + n_out], held]), 0, additive)
-        best = np.maximum(best, cand)
+        cand = _conj(np.stack([rights[start + skip:start + step], held[skip:]]), 0, additive)
+        best = _accumulate(np.maximum, best, cand)[-1:]
         if additive:
-            possum += np.maximum(cand, 0.0)
+            possum = _accumulate(np.add, possum, np.maximum(cand, 0.0))[-1:]
     if additive:
-        return np.where(best < 0, best, possum)
-    return best
+        return np.where(best < 0, best, possum)[0]
+    return best[0]
 
 
 def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: bool) -> np.ndarray:
@@ -505,6 +541,32 @@ def _eval(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: b
     raise TypeError(f"unknown formula node {f!r}")
 
 
+def _reach(f: Formula, dt: float) -> int:
+    """Grid steps past an instant that the value of ``f`` there reads: the
+    largest sum of window ends along a path from the root to an atom."""
+    if isinstance(f, Atom):
+        return 0
+    reach = max(_reach(c, dt) for c in _operands(f))
+    if isinstance(f, (Always, Eventually, Until)):
+        reach += _interval_steps(f.a, f.b, dt)[1]
+    return reach
+
+
+def _eval_at(f: Formula, channels: Mapping[str, np.ndarray], dt: float, additive: bool,
+             start: int) -> np.ndarray:
+    """``_eval`` on the samples from ``start`` through the reach of ``f``:
+    its first column, if any, holds the values at instant ``start``."""
+    try:
+        stop = start + _reach(f, dt) + 1
+    except ValueError:
+        # _eval raises this error too, or first a KeyError for a channel
+        stop = None
+    # the builtin specs reach the whole trace, which is then not cut
+    if (start, stop) != (0, next(iter(channels.values())).shape[1]):
+        channels = {name: c[:, start:stop] for name, c in channels.items()}
+    return _eval(f, channels, dt, additive)
+
+
 def _t0_index(trace: Signal, t0: float) -> int:
     if not math.isfinite(t0 / trace.dt):
         raise ValueError(f"t0={t0} is not finite on the trace grid (dt={trace.dt})")
@@ -525,17 +587,21 @@ def _is_additive(semantics: str) -> bool:
 def robustness(f: Formula, trace: Signal, t0: float = 0.0, semantics: str = "classic") -> float:
     """Quantitative robustness of ``f`` on ``trace`` at time ``t0``.
 
-    ``semantics`` is ``"classic"`` or ``"additive"``.  Raises ``ValueError``
-    when the trace is too short for the formula's temporal horizon, and
-    when the robustness is not finite.
+    ``semantics`` is ``"classic"`` or ``"additive"``.  Only the samples
+    from ``t0`` through the formula's reach are evaluated.  Raises
+    ``ValueError`` when the trace is too short for the formula's temporal
+    horizon, and when the robustness is not finite.
     """
     idx = _t0_index(trace, t0)
     channels = {name: c[None, :] for name, c in zip(trace.channel_names, trace.channels)}
-    values = _eval(f, channels, trace.dt, _is_additive(semantics))
-    if idx >= values.shape[1]:
+    additive = _is_additive(semantics)
+    # a margin may overflow: the check below reports it, with no numpy warning
+    with np.errstate(all="ignore"):
+        values = _eval_at(f, channels, trace.dt, additive, idx)
+    if not values.shape[1]:
         raise ValueError(f"trace too short: formula horizon {horizon_of(f)} s does not fit "
                          f"after t0={t0} within end time {trace.end_time} s")
-    value = float(values[0, idx])
+    value = float(values[0, 0])
     if not math.isfinite(value):
         raise ValueError("robustness is non-finite; trace contains bad values")
     return value
@@ -546,11 +612,12 @@ def robustness_batch(f: Formula, channels: Mapping[str, np.ndarray], dt: float,
     """Robustness of ``f`` at time 0 for a batch of B traces.
 
     ``channels`` maps every channel name to a (B, n) array sampled on the
-    uniform grid {0, dt, ..., (n-1)*dt}.  Entry b of the result equals
+    uniform grid {0, dt, ..., (n-1)*dt}; only the samples up to the
+    formula's reach are evaluated.  Entry b of the result equals
     :func:`robustness` of trace b alone, but is returned even if it is not
     finite.  Raises ``ValueError`` when the traces are too short.
     """
-    values = _eval(f, channels, dt, _is_additive(semantics))
+    values = _eval_at(f, channels, dt, _is_additive(semantics), 0)
     if not values.shape[1]:
         n = next(iter(channels.values())).shape[1]
         raise ValueError(f"trace too short: formula horizon {horizon_of(f)} s does not fit "

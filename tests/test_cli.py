@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from conftest import OVERFLOW_DOC
 
+import pulsefalsify
 from pulsefalsify.cli import main
 from pulsefalsify.falsification import FreeMask, falsify
 from pulsefalsify.optimizers import OptimizerConfig
@@ -297,6 +303,35 @@ class TestMonitor:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(path) in err and "has no samples" in err
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,x,y\n0,1,2\n0.1,1\n", ", line 3: the header has 3 columns, this row 2"),
+        ("time,x\n0,1,2\n0.1,1,2\n", ", line 2: the header has 2 columns, this row 3"),
+        ("time,x\n0,1\n0.1,abc\n", ", line 3: 'abc' is not a number"),
+        ("time,x\n", " has no samples"),
+        ("time,x\n\n\n", " has no samples"),
+    ])
+    def test_a_bad_trace_file_is_named(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["monitor", "--spec", "x > 0", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: trace file {path}{message}\n"
+
+    def test_an_overflowing_margin_prints_only_the_error(self, tmp_path):
+        # 2*u1 overflows; numpy's warning used to come before the error line
+        path = tmp_path / "big.csv"
+        path.write_text("time,u1\n0,1.5e308\n0.2,1.5e308\n0.4,1.5e308\n")
+        src = str(Path(pulsefalsify.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pulsefalsify.cli", "monitor", "--spec",
+             "alw[0,0.4](2*u1 <= 1e308)", "--trace", str(path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: robustness is non-finite; trace contains bad values\n"
 
 
 class TestValidate:

@@ -349,6 +349,12 @@ class TestAskTell:
             minimize(None, 2, config, short)
         assert calls == [1]
 
+    def test_a_batch_objective_with_extra_values_raises(self):
+        # the extra value is negative, and used to be dropped silently
+        with pytest.raises(ValueError, match="objective returned 2 values for 1 points"):
+            minimize(None, 2, OptimizerConfig(kind="random_search", budget=20, seed=0),
+                     lambda p: np.concatenate([np.ones(len(p)), [-5.0]]))
+
     def test_a_short_block_that_goes_negative_stops(self):
         # the second block has two points, and its one value is negative:
         # no value past the first negative one is needed

@@ -16,6 +16,7 @@ from conftest import (
     random_trace,
 )
 
+from pulsefalsify import builtin_benchmark, builtin_benchmark_names, stl
 from pulsefalsify.signals import Signal
 from pulsefalsify.stl import (
     Always,
@@ -33,7 +34,7 @@ from pulsefalsify.stl import (
     robustness,
     robustness_batch,
 )
-from pulsefalsify.stl import _eval, _until, _windows
+from pulsefalsify.stl import _conj, _eval, _reach, _until, _windows
 
 
 def ramp_trace():
@@ -465,3 +466,155 @@ class TestUntilArrays:
             for row in range(2):
                 expected = until_row_reference(left[row], right[row], 2, 5, additive)
                 np.testing.assert_allclose(out[row], expected, rtol=1e-12, atol=0.0)
+
+
+def until_offset_loop(left, right, lo, hi, additive):
+    """The Until evaluator before its window offsets went in slabs: one
+    array pass per offset d.  ``_until`` must match it bit for bit."""
+    n_out = max(min(left.shape[1], right.shape[1]) - hi, 0)
+    hold = np.full((len(left), n_out), math.inf)
+    hold_negsum = np.zeros_like(hold)
+    best = np.full_like(hold, -math.inf)
+    possum = np.zeros_like(hold)
+    for d in range(hi + 1):
+        left_d = left[:, d : d + n_out]
+        hold = np.minimum(hold, left_d)
+        if additive:
+            hold_negsum += np.minimum(left_d, 0.0)
+        if d < lo:
+            continue
+        held = np.where(hold > 0, hold, hold_negsum) if additive else hold
+        cand = _conj(np.stack([right[:, d : d + n_out], held]), 0, additive)
+        best = np.maximum(best, cand)
+        if additive:
+            possum += np.maximum(cand, 0.0)
+    if additive:
+        return np.where(best < 0, best, possum)
+    return best
+
+
+def same_bits(got, expected):
+    return got.shape == expected.shape and np.array_equal(got.view(np.int64),
+                                                          expected.view(np.int64))
+
+
+def special_operands(rng, rows, m_left, m_right):
+    """Operands over nine decades, a share of them 0.0, -0.0, NaN or +-inf.
+    The NaN is numpy's positive one: where two NaNs meet, which one numpy
+    keeps depends on its code path, so a NaN's sign is not compared."""
+    specials = np.array([0.0, -0.0, math.nan, math.inf, -math.inf])
+    out = []
+    for m in (m_left, m_right):
+        values = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-4, 5, size=(rows, m))
+        special = rng.random((rows, m)) < rng.choice([0.0, 0.1, 0.5])
+        values[special] = rng.choice(specials, special.sum())
+        out.append(values)
+    return out
+
+
+class TestUntilSlabs:
+    """``_until`` takes the window offsets in slabs; the values must be
+    those of one pass per offset, bit for bit, however the slabs fall."""
+
+    @pytest.mark.parametrize("additive", [False, True])
+    def test_equals_the_offset_loop(self, rng, monkeypatch, additive):
+        for _ in range(300):
+            rows = int(rng.integers(0, 5))
+            m_left, m_right = (int(m) for m in rng.integers(1, 50, size=2))
+            hi = int(rng.integers(0, 60))  # past the operands, too
+            lo = int(rng.integers(0, hi + 1))
+            left, right = special_operands(rng, rows, m_left, m_right)
+            if rng.random() < 0.3:
+                left = left[:, ::-1]  # a strided operand
+            # slabs of one offset up to every offset at once
+            monkeypatch.setattr(stl, "_UNTIL_SLAB", int(rng.choice([1, 7, 60, 2**14])))
+            monkeypatch.setattr(stl, "_UNTIL_WIDE", int(rng.choice([0, 20, 2**9])))
+            with np.errstate(all="ignore"):
+                got = _until(left, right, lo, hi, additive)
+                expected = until_offset_loop(left, right, lo, hi, additive)
+            assert same_bits(got, expected), (rows, m_left, m_right, lo, hi)
+
+    @pytest.mark.parametrize("additive", [False, True])
+    @pytest.mark.parametrize("rows, n, lo, hi", [
+        (2, 300, 3, 99),   # 402 values an offset: slabs of 40 offsets
+        (8, 160, 0, 59),   # 808 values an offset: slabs of one offset
+        (1, 1100, 1000, 1050),  # lo inside the fourth slab of 327 offsets
+    ])
+    def test_blocks_of_several_slabs(self, rng, rows, n, lo, hi, additive):
+        width = rows * (n - hi)
+        step = 1 if width > stl._UNTIL_WIDE else stl._UNTIL_SLAB // width
+        assert hi + 1 > step
+        left, right = special_operands(rng, rows, n, n)
+        with np.errstate(all="ignore"):
+            assert same_bits(_until(left, right, lo, hi, additive),
+                             until_offset_loop(left, right, lo, hi, additive))
+
+
+    @pytest.mark.parametrize("slab", [1, 3, 7, 2**14])
+    @pytest.mark.parametrize("case", ["negative sum", "positive sum"])
+    def test_sums_run_in_offset_order(self, rng, monkeypatch, slab, case):
+        # additive values that are one running sum, over slabs of `slab`
+        # offsets: with left negative and right far below zero but at the
+        # last offset, the sum of left over the window; with both positive,
+        # the sum of every candidate.  Another order of addition moves bits.
+        monkeypatch.setattr(stl, "_UNTIL_SLAB", slab)
+        hi = 40
+        left = rng.uniform(0.0, 1.0, (1, hi + 1)) * 10.0 ** rng.integers(-3, 4, (1, hi + 1))
+        right = rng.uniform(0.5, 1.0, (1, hi + 1))
+        if case == "negative sum":
+            left = -left
+            right[0, :hi] = -1e6
+        got = _until(left, right, 0, hi, True)
+        assert same_bits(got, until_offset_loop(left, right, 0, hi, True))
+        if case == "negative sum":
+            total = 0.0
+            for value in left[0].tolist():  # from the first offset to the last
+                total += value
+            assert got[0, 0] == total
+
+
+class TestReach:
+    def test_reach_counts_grid_steps(self):
+        assert _reach(parse("(x1 <= 0.7 U[0,5] x2 >= 0.6)"), 0.1) == 50
+        assert _reach(parse("alw[1,2](ev[0,3](x > 0)) and (y > 0 U[0,1] alw[0,4](x > 0))"),
+                      1.0) == 5
+
+    def test_builtin_specs_reach_the_whole_horizon(self):
+        # so that sweeps evaluate every sample, as they did before reaches
+        for name in builtin_benchmark_names():
+            benchmark = builtin_benchmark(name)
+            for spec in benchmark.specs.values():
+                assert _reach(spec, benchmark.dt) + 1 == len(benchmark.times)
+
+    @pytest.mark.parametrize("semantics", ["classic", "additive"])
+    def test_equals_the_whole_trace_evaluated(self, rng, semantics):
+        for _ in range(200):
+            tr = random_trace(rng, 120)
+            f = random_formula(rng, tr, 3, tr.end_time * rng.uniform(0.2, 1.0))
+            channels = {name: c[None, :] for name, c in zip(tr.channel_names, tr.channels)}
+            whole = _eval(f, channels, tr.dt, semantics == "additive")[0]
+            idx = int(rng.integers(0, len(whole)))
+            got = np.float64(robustness(f, tr, idx * tr.dt, semantics))
+            assert got.view(np.int64) == whole[idx].view(np.int64)
+            batch = robustness_batch(f, {name: c[:, idx:] for name, c in channels.items()},
+                                     tr.dt, semantics)
+            assert batch.view(np.int64).tolist() == [got.view(np.int64)]
+
+    @pytest.mark.parametrize("spec", [
+        "(y <= 0.85 U[0,5] u >= 0.5)",            # reaches half the trace
+        "alw[0,5](y <= 0.85 U[0,5] u >= 0.5)",    # reaches all of it
+    ])
+    @pytest.mark.parametrize("semantics, parent_mib", [("classic", 12.1), ("additive", 17.3)])
+    def test_a_wide_lag_block_stays_in_memory(self, spec, semantics, parent_mib):
+        # 2,595 rows of 101 samples, the widest chunk a lag sweep scores;
+        # parent_mib is the peak of the loop over offsets on this block
+        rng = np.random.default_rng(0)
+        channels = {"u": rng.uniform(0.0, 1.0, (2595, 101)),
+                    "y": rng.uniform(0.0, 1.0, (2595, 101))}
+        tracemalloc.start()
+        try:
+            robustness_batch(parse(spec), channels, 0.1, semantics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * parent_mib * 2**20
