@@ -3,10 +3,11 @@
 An experiment runs every (spec, mask, repetition) cell with a seed derived
 from the base seed and a stable hash of the cell key, so results are
 reproducible and independent of execution order.  ``ExperimentConfig``
-rejects a name given twice, and a spec that a benchmark lacks, before any
-cell runs.  The cells of one benchmark run in lockstep, in one thread: each
-is an ask/tell search, and at every step the pending points of all live
-searches, across specs, are decoded and scored as one block by
+rejects a name given twice, a spec that a benchmark lacks, and a setting a
+search would reject, before any cell runs.  The cells of one benchmark are
+ask/tell searches stepped side by side by ``optimizers.lockstep``, in one
+thread: at every step the pending points of all live searches, across
+specs, are decoded and scored as one block by
 ``falsification.score_blocks``, the scorer that ``falsify`` and witness
 replay use.  It scores a row that cannot be scored +inf, and rows never
 mix, so every search gets the values it would get alone.
@@ -23,12 +24,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .falsification import (
-    FreeMask, ParamSpace, PulseParam, build_param_space, decode_batch, score_blocks,
-)
-from .optimizers import OptimizerConfig, as_integer, searcher
+from . import stl
+from .falsification import FreeMask, PulseParam, build_param_space, decode_batch, score_blocks
+from .optimizers import OptimizerConfig, as_integer, lockstep, searcher
 from .systems import Benchmark
 
 __all__ = [
@@ -72,9 +70,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "repetitions", as_integer("repetitions", self.repetitions, 1))
-        object.__setattr__(self, "budget", as_integer("budget", self.budget, 1))
+        object.__setattr__(self, "budget", OptimizerConfig(self.optimizer, self.budget).budget)
+        stl._is_additive(self.semantics)  # raises ValueError
         object.__setattr__(self, "base_seed", as_integer("base_seed", self.base_seed))
         object.__setattr__(self, "parallelism", as_integer("parallelism", self.parallelism, 1))
+        if isinstance(self.spec_names, str) or isinstance(self.mask_labels, str):
+            raise ValueError("spec_names and mask_labels take a sequence of names, not a string")
         if not self.mask_labels:
             raise ValueError("mask list must be non-empty")
         labels = tuple(FreeMask.from_label(label).label for label in self.mask_labels)
@@ -124,70 +125,36 @@ def cell_seed(base_seed: int, benchmark: str, spec: str, mask: str, rep: int) ->
     return (base_seed + int.from_bytes(digest[:8], "big")) % (2**63)
 
 
-@dataclass
-class _Search:
-    """A live cell: its record's leading fields, its search space, and its
-    ask/tell machine with the block of points it asked for last, decoded as
-    a block of ``score_blocks``."""
-
-    cell: tuple  # benchmark, spec, mask, rep, seed
-    space: ParamSpace
-    machine: object
-    asked: np.ndarray
-    block: tuple | None = None
-
-
-def _record(cell: tuple, result=None, error: Exception | None = None) -> RunRecord:
-    if error is not None:  # captured as a failed run, not a crash
+def _search(cell: tuple, dimension: int, config: ExperimentConfig):
+    """A cell's search as a machine that returns the cell's record, so that
+    the search's history is freed when it ends.  An exception, the search's
+    or one thrown into it, is captured as a failed run, not a crash."""
+    optimizer = OptimizerConfig(kind=config.optimizer, budget=config.budget, seed=cell[4])
+    try:
+        result = yield from searcher(dimension, optimizer)
+    except Exception as exc:
         return RunRecord(*cell, falsified=False, sims=0, best_robustness=math.nan,
-                         error=f"{type(error).__name__}: {error}")
+                         error=f"{type(exc).__name__}: {exc}")
     return RunRecord(*cell, falsified=result.best.value < 0, sims=result.evaluations_used,
                      best_robustness=result.best.value)
 
 
 def _run_lockstep(benchmark: Benchmark, config: ExperimentConfig) -> list[RunRecord]:
-    """Run the cells of one benchmark side by side.  Every machine is built
-    and asked for its first block before any point is scored; a cell whose
-    machine or decode raises becomes an error record and leaves the rest."""
+    """The records of the cells of one benchmark, run in lockstep."""
     specs = config.spec_names or sorted(benchmark.specs)
-    records, live = [], []
-    for spec, label, rep in itertools.product(specs, config.mask_labels, range(config.repetitions)):
-        seed = cell_seed(config.base_seed, benchmark.name, spec, label, rep)
-        cell = (benchmark.name, spec, label, rep, seed)
-        try:
-            space = build_param_space(benchmark, FreeMask.from_label(label))
-            machine = searcher(
-                space.dimension,
-                OptimizerConfig(kind=config.optimizer, budget=config.budget, seed=seed))
-            live.append(_Search(cell, space, machine, next(machine)))
-        except Exception as exc:
-            records.append(_record(cell, error=exc))
-    while live:
-        decoded = []
-        for search in live:
-            try:
-                search.block = (search.cell[1], *decode_batch(search.asked, search.space))
-                decoded.append(search)
-            except Exception as exc:
-                records.append(_record(search.cell, error=exc))
-        live = []
-        if not decoded:
-            break
-        try:
-            values = score_blocks(benchmark, [search.block for search in decoded], config.semantics)
-        except Exception as exc:  # a shared chunk failed: so did every search in it
-            records += [_record(search.cell, error=exc) for search in decoded]
-            break
-        ends = np.cumsum([len(search.asked) for search in decoded])
-        for search, told in zip(decoded, np.split(values, ends[:-1])):
-            try:
-                search.asked = search.machine.send(told)
-                live.append(search)
-            except StopIteration as done:
-                records.append(_record(search.cell, done.value))
-            except Exception as exc:
-                records.append(_record(search.cell, error=exc))
-    return records
+    spaces = {label: build_param_space(benchmark, FreeMask.from_label(label))
+              for label in config.mask_labels}
+    cells = [(benchmark.name, spec, label, rep,
+              cell_seed(config.base_seed, benchmark.name, spec, label, rep))
+             for spec, label, rep in itertools.product(specs, config.mask_labels,
+                                                       range(config.repetitions))]
+    machines = [_search(cell, spaces[cell[2]].dimension, config) for cell in cells]
+
+    def score(pending):
+        blocks = [(cells[i][1], *decode_batch(block, spaces[cells[i][2]])) for i, block in pending]
+        return score_blocks(benchmark, blocks, config.semantics)
+
+    return lockstep(machines, score)
 
 
 def run_experiment(config: ExperimentConfig) -> list[RunRecord]:

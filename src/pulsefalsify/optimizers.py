@@ -26,14 +26,13 @@ of the rows used, so no record keeps a working array alive.
 Each optimizer is an ask/tell machine (the interface of Hansen, "The CMA
 Evolution Strategy: A Tutorial", arXiv:1604.00772): :func:`searcher` returns
 a generator that yields a (k, dim) block of points, is sent their k values,
-and returns the :class:`OptimizationResult` when it stops.  :func:`minimize`
-drives one machine with an objective; a caller that drives many machines at
-once can score all their pending blocks together.
+and returns the :class:`OptimizationResult` when it stops.  :func:`lockstep`
+runs every search: it steps many machines side by side and scores all their
+pending blocks in one call.  :func:`minimize` is a lockstep of one machine.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -50,6 +49,7 @@ __all__ = [
     "turbo_lite_minimize",
     "fit_surrogate",
     "searcher",
+    "lockstep",
     "minimize",
     "MAX_BLOCK",
 ]
@@ -65,8 +65,10 @@ _FIRST_CAPACITY = 16
 
 def as_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as a Python int, if it is an integer (a Python or numpy
-    one) of at least ``minimum``; otherwise ValueError."""
+    one, not a bool) of at least ``minimum``; otherwise ValueError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, not {value!r}") from None
@@ -186,10 +188,9 @@ class _Budget:
     def evaluate(self, points: np.ndarray):
         """Yield (k, dim) points in blocks, receive each block's values and
         record them in order, up to the first negative value or the end of
-        the budget; the values of any later points are discarded.  The
-        values may be a lazy iterable, which is not read past the first
-        negative value; fewer values, none negative, or more values than
-        points raise ``ValueError``."""
+        the budget; the values of any later points are discarded.  Fewer
+        values, none negative, or more values than points raise
+        ``ValueError``."""
         # a copy: a caller may keep a block, which must not pin turbo's candidates
         points = np.array(points, dtype=float)
         start = 0
@@ -197,20 +198,17 @@ class _Budget:
             chunk = points[start:start + self.block]
             start += len(chunk)
             values = yield chunk
-            if hasattr(values, "__len__") and len(values) > len(chunk):
-                raise ValueError(f"objective returned {len(values)} values "
-                                 f"for {len(chunk)} points")
             first = self.used
             self._reserve(first + len(chunk))
-            for value in itertools.islice(values, len(chunk)):
+            for value in values[:len(chunk)]:
                 value = float(value) if math.isfinite(value) else math.inf
                 self.values[self.used] = value
                 self.used += 1
                 if value < 0:
                     self.negative = True
                     break
-            if not self.negative and self.used - first < len(chunk):
-                raise ValueError(f"objective returned {self.used - first} values "
+            if len(values) > len(chunk) or (len(values) < len(chunk) and not self.negative):
+                raise ValueError(f"objective returned {len(values)} values "
                                  f"for {len(chunk)} points")
             self.points[first:self.used] = chunk[:self.used - first]
 
@@ -236,7 +234,7 @@ def random_search(objective, dim: int, config: OptimizerConfig) -> OptimizationR
     All points come from one seeded stream, and ``objective`` scores them
     one at a time, never past the first negative value.
     """
-    return _drive(_random_search(dim, config), objective)
+    return minimize(objective, dim, replace(config, kind="random_search"))
 
 
 def _random_search(dim: int, config: OptimizerConfig):
@@ -340,7 +338,7 @@ def turbo_lite_minimize(objective, dim: int, config: OptimizerConfig) -> Optimiz
     degenerate.  Each hypercube is scored in blocks and each pick as a block
     of one, as in :func:`random_search`.
     """
-    return _drive(_turbo_lite(dim, config), objective)
+    return minimize(objective, dim, replace(config, kind="turbo_lite"))
 
 
 def _turbo_lite(dim: int, config: OptimizerConfig):
@@ -409,25 +407,59 @@ def searcher(dim: int, config: OptimizerConfig):
     return (_random_search if config.kind == "random_search" else _turbo_lite)(dim, config)
 
 
+def lockstep(machines, score) -> list:
+    """Step ask/tell machines side by side, each to its end.  At each step
+    ``score`` gets the ``(index, block)`` pairs of the live machines in index
+    order and returns all their rows' values; each machine is told its slice,
+    the last one the rest, so a wrong count reaches its checks.  An exception
+    from ``score`` is thrown into every live machine.  Returns, per machine,
+    its return value or the exception it raised."""
+    outcomes, asked = [None] * len(machines), {}
+
+    def tell(index, values):
+        try:
+            asked[index] = (machines[index].throw(values) if isinstance(values, Exception)
+                            else machines[index].send(values))
+        except StopIteration as done:
+            outcomes[index] = done.value
+        except Exception as exc:
+            outcomes[index] = exc
+
+    for index in range(len(machines)):
+        tell(index, None)  # sending None starts a machine
+    while asked:
+        pending, asked = list(asked.items()), {}
+        try:
+            values = score(pending)
+        except Exception as exc:
+            for index, _ in pending:
+                tell(index, exc)
+            continue
+        start = 0
+        for index, block in pending[:-1]:
+            tell(index, values[start:start + len(block)])
+            start += len(block)
+        tell(pending[-1][0], values[start:])
+    return outcomes
+
+
 def minimize(objective, dim: int, config: OptimizerConfig,
              batch_objective=None) -> OptimizationResult:
-    """Dispatch on ``config.kind``.  Both optimizers score their points in
-    blocks, through ``batch_objective`` when it is given, and blocks never
-    change the result: ``batch_objective`` maps a (B, dim) block of points
-    onto their B objective values, and ``objective`` may then be None."""
-    return _drive(searcher(dim, config), objective, batch_objective)
-
-
-def _drive(machine, objective, batch_objective=None) -> OptimizationResult:
-    """Run one ask/tell machine to its end.  Without ``batch_objective`` the
-    scalar ``objective`` is mapped over each block lazily, so it is never
-    called past the first negative value."""
+    """Run the machine of ``config.kind``: a :func:`lockstep` of one that
+    re-raises.  Its blocks are scored by ``batch_objective``, which maps a
+    (B, dim) block onto B values, and without it by the scalar
+    ``objective`` point by point, never past the first negative value.
+    Blocks never change the result."""
     if batch_objective is None:
-        batch_objective = lambda points: map(objective, points)
-    values = None  # sending None starts the machine
-    while True:
-        try:
-            points = machine.send(values)
-        except StopIteration as done:
-            return done.value
-        values = batch_objective(points)
+        def batch_objective(points):
+            values = []
+            for point in points:
+                values.append(objective(point))
+                if -math.inf < values[-1] < 0:  # the value the machine stops at
+                    break
+            return values
+
+    [outcome] = lockstep([searcher(dim, config)], lambda pending: batch_objective(pending[0][1]))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -216,8 +216,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         lexeme = m.group(0)
         if m.lastgroup != "ws":
-            kind = {"num": "num", "ident": "ident", "sym": "sym"}[m.lastgroup]
-            tokens.append(_Token(kind, lexeme, line, col))
+            tokens.append(_Token(m.lastgroup, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines

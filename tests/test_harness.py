@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -114,12 +116,25 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("field, value", [
         ("budget", 10.5), ("repetitions", 2.5), ("base_seed", 1.5), ("parallelism", 2.5),
-        ("parallelism", "3"),
+        ("parallelism", "3"), ("budget", True), ("repetitions", True), ("base_seed", False),
+        ("parallelism", True),
     ])
     def test_non_integer_settings_rejected(self, field, value):
         # a float budget once failed only in the cells whose search asked
         # for a block after its first, as error records mid-sweep
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.make_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("optimizer", "cma", "unknown optimizer kind 'cma'"),
+        ("semantics", "bogus", "unknown semantics 'bogus'"),
+        ("spec_names", "phi1", "not a string"),
+        ("mask_labels", "W", "not a string"),
+    ])
+    def test_search_settings_fail_when_the_config_is_built(self, field, value, message):
+        # these used to build, then fail in every cell: one error record per
+        # cell, or a spec named by each character of the string
+        with pytest.raises(ValueError, match=message):
             self.make_config(**{field: value})
 
     def test_numpy_integer_settings_accepted(self):
@@ -384,6 +399,60 @@ class TestLockstep:
         runs[1] = RunRecord(**{**runs[1].__dict__, "error": "ValueError: bad"})
         lines = write_errors(runs, tmp_path / "b").read_text().splitlines()
         assert lines[1:] == [f"b,phi,W,1,{runs[1].seed},ValueError: bad"]
+
+
+class TestCellSearches:
+    """Each cell's search is a machine of ``optimizers.lockstep`` that
+    returns the cell's record."""
+
+    def config(self, **kw):
+        return ExperimentConfig(**{
+            "benchmarks": (builtin_benchmark("lag"),), "spec_names": ("phi1", "phi2"),
+            "mask_labels": ("W", "L-P"), "repetitions": 3, "budget": 40,
+            "optimizer": "random_search", **kw})
+
+    def test_a_scoring_error_ends_every_live_cell(self, monkeypatch):
+        # the third step fails: the cells that ended in the first two keep
+        # their records, and every other cell becomes an error record
+        clean = run_experiment(self.config())
+        score_blocks, calls = harness.score_blocks, []
+
+        def failing(benchmark, blocks, semantics):
+            calls.append(len(blocks))
+            if len(calls) == 3:
+                raise RuntimeError("boom")
+            return score_blocks(benchmark, blocks, semantics)
+
+        monkeypatch.setattr(harness, "score_blocks", failing)
+        records = run_experiment(self.config())
+        ended = [r for r in records if r.error is None]
+        assert 0 < len(ended) == 12 - calls[2] and all(r.sims <= 3 for r in ended)
+        assert ended == [r for r in clean if r in ended]
+        for r in records:
+            if r.error is not None:
+                assert r.error == "RuntimeError: boom"
+                assert (r.falsified, r.sims) == (False, 0) and math.isnan(r.best_robustness)
+
+    def test_a_search_result_is_freed_when_its_search_ends(self, monkeypatch):
+        # a sweep holds each cell's record, not its search's history
+        refs, alive = [], []
+        searcher, lockstep = harness.searcher, harness.lockstep
+
+        def tracked(dim, config):
+            result = yield from searcher(dim, config)
+            refs.append(weakref.ref(result))
+            return result
+
+        def checked(machines, score):
+            outcomes = lockstep(machines, score)
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            return outcomes
+
+        monkeypatch.setattr(harness, "searcher", tracked)
+        monkeypatch.setattr(harness, "lockstep", checked)
+        records = run_experiment(self.config())
+        assert len(refs) == len(records) == 12 and alive == [0]
 
 
 class TestUnscoreableRows:

@@ -12,6 +12,7 @@ from pulsefalsify.optimizers import (
     SurrogateDegeneracy,
     fit_surrogate,
     latin_hypercube,
+    lockstep,
     minimize,
     random_search,
     searcher,
@@ -370,6 +371,108 @@ class TestAskTell:
             next(machine)
 
 
+def shifted_sphere(p):
+    return float(np.sum((p - 0.5) ** 2)) - 0.02
+
+
+def score_rows(objective, log=None):
+    """A lockstep ``score`` that scores every row alone, and logs the
+    machine indices of each step."""
+    def score(pending):
+        if log is not None:
+            log.append([index for index, _ in pending])
+        return np.array([objective(p) for _, block in pending for p in block])
+
+    return score
+
+
+def assert_same_result(got, expected):
+    assert isinstance(got, OptimizationResult)
+    assert len(got.history) == len(expected.history)
+    for rec, ref in zip(got.history, expected.history):
+        assert rec.point.tobytes() == ref.point.tobytes()
+        assert (rec.value, rec.index) == (ref.value, ref.index)
+    assert (got.best.index, got.stopped_early, got.evaluations_used, got.restarts,
+            got.surrogate_fits, got.degenerate_fits) == (
+        expected.best.index, expected.stopped_early, expected.evaluations_used,
+        expected.restarts, expected.surrogate_fits, expected.degenerate_fits)
+
+
+# (dim, config) of machines of both kinds, with different dims and budgets:
+# alone, the 1-D and 2-D searches go negative within 6 evaluations, the 5-D
+# turbo_lite after 21, and the 5-D random search spends its whole budget
+LOCKSTEP_MACHINES = [
+    (1, OptimizerConfig(kind="random_search", budget=300, seed=1)),
+    (5, OptimizerConfig(kind="turbo_lite", budget=60, seed=2)),
+    (2, OptimizerConfig(kind="turbo_lite", budget=40, seed=3)),
+    (5, OptimizerConfig(kind="random_search", budget=90, seed=4)),
+]
+
+
+class TestLockstepContract:
+    """The contract of ``lockstep``, which runs every search."""
+
+    def test_machines_stepped_together_equal_their_own_minimize(self):
+        log = []
+        outcomes = lockstep([searcher(dim, config) for dim, config in LOCKSTEP_MACHINES],
+                            score_rows(shifted_sphere, log))
+        for outcome, (dim, config) in zip(outcomes, LOCKSTEP_MACHINES):
+            assert_same_result(outcome, minimize(shifted_sphere, dim, config))
+        # the live machines are handed over in index order, and drop out
+        assert log[0] == [0, 1, 2, 3]
+        assert all(step == sorted(step) for step in log)
+        assert len(log[-1]) == 1 and any(0 < len(step) < 4 for step in log)
+        assert any(o.stopped_early for o in outcomes) and not all(o.stopped_early for o in outcomes)
+
+    def test_a_machine_that_raises_at_its_first_ask_leaves_the_others(self):
+        # turbo_lite needs 2 * dim = 10 hypercube points, more than a budget of 5
+        machines = [searcher(dim, config) for dim, config in LOCKSTEP_MACHINES]
+        machines.insert(1, searcher(5, OptimizerConfig(kind="turbo_lite", budget=5, seed=0)))
+        log = []
+        outcomes = lockstep(machines, score_rows(shifted_sphere, log))
+        assert isinstance(outcomes[1], ValueError)
+        assert str(outcomes[1]) == "budget 5 smaller than init_samples 10"
+        assert all(1 not in step for step in log)
+        for outcome, (dim, config) in zip(outcomes[:1] + outcomes[2:], LOCKSTEP_MACHINES):
+            assert_same_result(outcome, minimize(shifted_sphere, dim, config))
+
+    def test_an_exception_from_score_ends_every_live_machine(self):
+        # the budget-1 search ends after the first step; the second step fails
+        configs = [OptimizerConfig(kind="random_search", budget=1, seed=0),
+                   OptimizerConfig(kind="random_search", budget=50, seed=1),
+                   OptimizerConfig(kind="turbo_lite", budget=50, seed=2)]
+        boom = RuntimeError("boom")
+        calls = []
+
+        def score(pending):
+            calls.append(len(pending))
+            if len(calls) == 2:
+                raise boom
+            return np.ones(sum(len(block) for _, block in pending))
+
+        outcomes = lockstep([searcher(3, config) for config in configs], score)
+        assert calls == [3, 2]
+        assert_same_result(outcomes[0], minimize(lambda p: 1.0, 3, configs[0]))
+        assert outcomes[1] is boom and outcomes[2] is boom
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda values: np.append(values, -5.0), "objective returned 2 values for 1 points"),
+        (lambda values: values[:-1], "objective returned 0 values for 1 points"),
+    ])
+    def test_a_wrong_count_reaches_the_last_machine(self, change, message):
+        # every machine asks one point first: the first is told its one
+        # value, the last the rest
+        configs = [OptimizerConfig(kind="random_search", budget=30, seed=seed) for seed in (0, 1)]
+
+        def score(pending):  # the wrong count while both machines are live
+            values = np.ones(sum(len(block) for _, block in pending))
+            return change(values) if len(pending) == 2 else values
+
+        outcomes = lockstep([searcher(2, config) for config in configs], score)
+        assert_same_result(outcomes[0], minimize(lambda p: 1.0, 2, configs[0]))
+        assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == message
+
+
 class TestResultInvariants:
     @pytest.mark.parametrize("kind", ["random_search", "turbo_lite"])
     def test_history_fidelity(self, kind):
@@ -406,6 +509,9 @@ class TestResultInvariants:
         ("init_samples", 2.5, "init_samples must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
         ("seed", -1, "seed must be >= 0"),
+        ("budget", True, "budget must be an integer"),
+        ("init_samples", True, "init_samples must be an integer"),
+        ("seed", False, "seed must be an integer"),
     ])
     def test_settings_that_would_fail_at_the_first_ask_are_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
