@@ -51,7 +51,10 @@ def _load_trace_csv(path: str) -> Signal:
     t_idx = header.index("time")
     names = tuple(name for i, name in enumerate(header) if i != t_idx)
     channels = tuple(data[:, i] for i, name in enumerate(header) if i != t_idx)
-    return Signal(times=data[:, t_idx], channels=channels, channel_names=names)
+    try:
+        return Signal(times=data[:, t_idx], channels=channels, channel_names=names)
+    except ValueError as exc:
+        raise ValueError(f"trace file {path}: {exc}") from None
 
 
 def _bad_row(path: str, body: list[str], width: int) -> str | None:
@@ -217,7 +220,9 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ValueError, KeyError, OSError, stl.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its one argument, quotes included
+        message = str(exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc)
+        print(f"error: {message or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

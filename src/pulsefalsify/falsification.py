@@ -231,7 +231,8 @@ def batch_objective(benchmark: Benchmark, spec_name: str, space: ParamSpace,
     return objective
 
 
-# Trace samples in one scoring chunk, 4 MB of floats.  ``MAX_BLOCK`` caps one
+# Trace samples in one scoring chunk, 4 MB of floats; a step holds one chunk's
+# traces at a time, each freed before the next is built.  ``MAX_BLOCK`` caps one
 # search's block, so that it wastes little work past its first negative
 # value; a chunk shared by many searches wastes nothing by being wide, and
 # wider chunks pay numpy's per-call cost over more rows.  The trace memory
@@ -292,6 +293,7 @@ def score_blocks(benchmark: Benchmark, blocks, semantics: str = "classic") -> np
                         formula, channels, benchmark.dt, semantics)
             finite = np.isfinite(y).all(axis=(1, 2)) & np.isfinite(u).all(axis=(1, 2))
             values[start:stop][~(finite & np.isfinite(values[start:stop]))] = math.inf
+            del u, y, channels  # channels holds views of both: free the chunk before the next
     return values
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import OVERFLOW_DOC
 
 import pulsefalsify
+from pulsefalsify import cli
 from pulsefalsify.cli import main
 from pulsefalsify.falsification import FreeMask, falsify
 from pulsefalsify.optimizers import OptimizerConfig
@@ -311,6 +312,9 @@ class TestMonitor:
         ("time,x\n0,1\n0.1,abc\n", ", line 3: 'abc' is not a number"),
         ("time,x\n", " has no samples"),
         ("time,x\n\n\n", " has no samples"),
+        ("time,x\n0,1\n0.1,1\n0.3,1\n", ": times must form a uniform grid"),
+        ("time,x\n1,1\n1.1,1\n", ": grid must start at 0, got 1.0"),
+        ("time,x,x\n0,1,2\n0.1,1,2\n", ": channel names must be unique, got ('x', 'x')"),
     ])
     def test_a_bad_trace_file_is_named(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.csv"
@@ -332,6 +336,27 @@ class TestMonitor:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == "error: robustness is non-finite; trace contains bad values\n"
+
+
+class TestErrors:
+    def test_a_missing_spec_prints_the_message_unquoted(self, lag_file, capsys):
+        assert main(["run", "--benchmark", lag_file, "--spec", "phi9", "--mask", "W"]) == 2
+        assert capsys.readouterr().err == (
+            "error: benchmark 'lag' has no spec 'phi9'; available: ['phi1', 'phi2']\n")
+
+    def test_a_missing_channel_prints_the_message_unquoted(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        path.write_text("time,x\n0,1\n0.1,1\n")
+        assert main(["monitor", "--spec", "y > 0", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err == "error: no channel named 'y'; have ('x',)\n"
+
+    def test_a_key_error_without_a_message_is_named(self, lag_file, capsys, monkeypatch):
+        def raise_bare(args):
+            raise KeyError
+
+        monkeypatch.setattr(cli, "_cmd_validate", raise_bare)
+        assert main(["validate", "--benchmark", lag_file]) == 2
+        assert capsys.readouterr().err == "error: KeyError\n"
 
 
 class TestValidate:

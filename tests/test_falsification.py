@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,26 @@ class TestScoreBlocks:
             np.testing.assert_array_equal(got, batch_objective(bench, spec, space)(block))
             # B reads an input channel too, so this checks the channels' names
             assert got.tolist() == [reference_value(bench, spec, space, p) for p in block]
+
+    def test_a_step_holds_one_chunk_at_a_time(self, rng):
+        # Each chunk's traces are freed before the next is built.  Kept alive
+        # while the next chunk was simulated, they made three chunks of cc
+        # peak at 1.69 times one chunk.
+        bench = builtin_benchmark("cc")
+        space = build_param_space(bench, FreeMask.from_label("L-P-W-H-D"))
+        rows = falsification._chunk_rows(bench)
+
+        def peak(n):
+            blocks = [("phi1", *decode_batch(rng.random((n, space.dimension)), space))]
+            tracemalloc.start()
+            try:
+                score_blocks(bench, blocks)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(rows)  # warm-up
+        assert peak(3 * rows) <= 1.1 * peak(rows)
 
     def test_unknown_spec_raises_though_every_row_diverges(self):
         bench = self.switched_system()
