@@ -10,6 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 falsification not found under ``--expect-falsified``,
 2 usage or configuration error.
+
+``main`` keeps one parser per process: it builds it with ``build_parser`` at
+its first call and reuses it, so an in-process caller pays for argparse's
+set-up once.  ``build_parser`` returns a new parser on each call.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -208,9 +213,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,

@@ -158,25 +158,34 @@ def pulse_values(period, width, delay, low, high, horizon: float, times) -> np.n
 
 @dataclass(frozen=True)
 class Signal:
-    """Multi-channel piecewise-constant time series on a uniform grid."""
+    """Multi-channel piecewise-constant time series on a uniform grid.
+
+    It holds read-only copies of the arrays it is given, so the caller's
+    arrays stay writable and later writes to them do not reach the signal.
+    """
 
     times: np.ndarray
     channels: tuple[np.ndarray, ...]
     channel_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        times = np.ascontiguousarray(self.times, dtype=float)
-        channels = tuple(np.ascontiguousarray(c, dtype=float) for c in self.channels)
+        times = np.array(self.times, dtype=float)
+        channels = tuple(np.array(c, dtype=float) for c in self.channels)
         names = tuple(self.channel_names)
         if times.ndim != 1 or len(times) < 2:
             raise ValueError("times must be a 1-D grid with at least 2 instants")
         if times[0] != 0.0:
             raise ValueError(f"grid must start at 0, got {times[0]}")
-        steps = np.diff(times)
-        if np.any(steps <= 0):
+        steps = times[1:] - times[:-1]
+        if (steps <= 0).any():
             raise ValueError("times must be strictly increasing")
-        dt = steps[0]
-        if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
+        # np.allclose(steps, dt, rtol=1e-9, atol=1e-12), written out: every
+        # step within the tolerance of the first, or all steps equal to it
+        # (which only an infinite first step needs).  Python floats, so
+        # inf - inf is a quiet nan.
+        dt, lo, hi = float(steps[0]), float(steps.min()), float(steps.max())
+        tol = 1e-12 + 1e-9 * abs(dt)
+        if not (hi - dt <= tol and dt - lo <= tol or lo == hi == dt):
             raise ValueError("times must form a uniform grid")
         if len(names) != len(channels):
             raise ValueError("channel_names count must match channels")

@@ -1,8 +1,12 @@
+import argparse
+import functools
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -357,6 +361,106 @@ class TestErrors:
         monkeypatch.setattr(cli, "_cmd_validate", raise_bare)
         assert main(["validate", "--benchmark", lag_file]) == 2
         assert capsys.readouterr().err == "error: KeyError\n"
+
+
+class TestOneParser:
+    """``main`` builds its parser at its first call and reuses it."""
+
+    @pytest.fixture
+    def commands(self, lag_file, ramp_trace, tmp_path):
+        return {
+            "run": ["run", "--benchmark", lag_file, "--spec", "phi1", "--mask", "W",
+                    "--optimizer", "random", "--budget", "20"],
+            "sweep": ["sweep", "--benchmark", lag_file, "--masks", "W", "--reps", "1",
+                      "--budget", "10", "--optimizer", "random", "--out", str(tmp_path / "o")],
+            "monitor": ["monitor", "--spec", "(y <= 0.5 U[0,0.3] y >= 0.2)",
+                        "--trace", ramp_trace],
+            "validate": ["validate", "--benchmark", lag_file],
+        }
+
+    @staticmethod
+    def _call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "monitor", "validate"])
+    def test_a_second_call_prints_what_the_first_did(self, commands, capsys, command):
+        first = self._call(capsys, commands[command])
+        assert first[0] in (0, 1)
+        helps = [self._call(capsys, argv) for argv in (["--help"], [command, "--help"])]
+        assert [code for code, _, _ in helps] == [0, 0]
+        missing = self._call(capsys, [command])
+        assert missing[0] == 2 and "error: the following arguments are required" in missing[2]
+        unknown = self._call(capsys, [*commands[command], "--no-such-option"])
+        assert unknown[0] == 2
+        assert unknown[2].endswith("error: unrecognized arguments: --no-such-option\n")
+        assert self._call(capsys, commands[command]) == first
+        assert [self._call(capsys, argv) for argv in (["--help"], [command, "--help"])] == helps
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["run", "--help"], ["sweep", "--help"], ["monitor", "--help"],
+        ["validate", "--help"], [], ["bogus"], ["monitor", "--spec", "x > 0"],
+    ])
+    def test_help_and_usage_errors_are_those_of_a_new_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        fresh = (info.value.code, *capsys.readouterr())
+        for _ in range(2):
+            assert self._call(capsys, argv) == fresh
+
+    def test_the_parser_is_built_at_the_first_call_only(self, monkeypatch, lag_file, capsys):
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser))
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        counts = []
+        for _ in range(3):
+            assert main(["validate", "--benchmark", lag_file]) == 0
+            counts.append(len(built))
+        assert counts == [5, 5, 5]  # the parser and its four subcommands
+
+    def test_importing_the_cli_builds_no_parser(self):
+        src = str(Path(pulsefalsify.__file__).resolve().parents[1])
+        code = textwrap.dedent("""
+            import argparse
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting_init(self, *args, **kwargs):
+                built.append(self)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting_init
+            import pulsefalsify.cli
+            print(len(built))
+        """)
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+
+    def test_monitor_leaves_no_cyclic_garbage(self, ramp_trace, capsys):
+        argv = ["monitor", "--spec", "(y <= 0.5 U[0,0.3] y >= 0.2)", "--trace", ramp_trace]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestValidate:

@@ -153,3 +153,73 @@ class TestSignalInvariants:
         sig = Signal(np.array([0.0, 0.5]), (np.zeros(2),), ("x",))
         with pytest.raises(ValueError):
             sig.channels[0][0] = 5.0
+
+    def test_the_callers_arrays_stay_writable(self):
+        t = np.arange(5) * 0.1
+        x = np.zeros(5)
+        sig = Signal(times=t, channels=(x,), channel_names=("x",))
+        x[0] = 1.0
+        t[0] = 0.5
+        assert sig.channels[0][0] == 0.0
+        assert sig.times[0] == 0.0
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_the_signal_owns_read_only_copies(self, strided):
+        data = np.column_stack([np.arange(5) * 0.1, np.ones(5), np.full(5, 2.0)])
+        if not strided:  # a loaded trace gives strided column views
+            data = np.ascontiguousarray(data.T).T
+        times, columns = data[:, 0], (data[:, 1], data[:, 2])
+        assert times.flags.c_contiguous != strided
+        sig = Signal(times=times, channels=columns, channel_names=("a", "b"))
+        for own, given in zip((sig.times, *sig.channels), (times, *columns)):
+            assert own is not given
+            assert not np.shares_memory(own, data)
+            assert not own.flags.writeable
+            assert own.flags.c_contiguous
+            np.testing.assert_array_equal(own, given)
+
+    @pytest.mark.parametrize("times, channels, names, message", [
+        ([0.5, 1.0, 1.5], (np.zeros(3),), ("x",), "grid must start at 0, got 0.5"),
+        ([0.0, 0.5, 0.5], (np.zeros(3),), ("x",), "times must be strictly increasing"),
+        ([0.0, 0.5, 0.25], (np.zeros(3),), ("x",), "times must be strictly increasing"),
+        ([0.0, 0.1, 0.3], (np.zeros(3),), ("x",), "times must form a uniform grid"),
+        ([0.0, 0.5], (np.zeros(3),), ("x",), "channel 'x' length does not match times"),
+        ([0.0, 0.5], (np.zeros(2), np.zeros(2)), ("x", "x"),
+         "channel names must be unique, got ('x', 'x')"),
+        ([0.0, 0.5], (np.zeros(2),), ("x", "y"), "channel_names count must match channels"),
+        ([0.0], (np.zeros(1),), ("x",), "times must be a 1-D grid with at least 2 instants"),
+    ])
+    def test_each_rejection_keeps_its_message(self, times, channels, names, message):
+        with pytest.raises(ValueError) as info:
+            Signal(np.array(times), channels, names)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dt", [0.1, 1.0, 1e-3, 1e-12, 1e-15, 1e300])
+    @pytest.mark.parametrize("nudge", [0.5, 0.999, 1.0, 1.001, 2.0])
+    def test_the_grid_check_agrees_with_allclose(self, dt, nudge):
+        # a step off by nudge times the tolerance of np.allclose(rtol=1e-9, atol=1e-12)
+        for k in range(1, 4):
+            times = np.arange(5) * dt
+            times[k:] += nudge * (1e-12 + 1e-9 * dt)
+            steps = np.diff(times)
+            expected = np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)
+            assert self._accepts(times) == expected, (dt, nudge, k)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, np.inf], [0.0, 1.0, np.inf], [0.0, np.nan], [0.0, np.nan, 2.0],
+        [0.0, 1.0, np.nan], [0.0, 1.0, 2.0, np.nan],
+    ])
+    def test_the_grid_check_agrees_with_allclose_on_nan_and_inf(self, times):
+        times = np.array(times)
+        steps = np.diff(times)
+        expected = np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12)
+        assert self._accepts(times) == expected
+
+    @staticmethod
+    def _accepts(times) -> bool:
+        try:
+            Signal(times, (np.zeros(len(times)),), ("x",))
+        except ValueError as exc:
+            assert str(exc) == "times must form a uniform grid"
+            return False
+        return True
