@@ -32,6 +32,7 @@ Numbers must be finite, and so must the atoms folded from them.
 
 from __future__ import annotations
 
+import copyreg
 import math
 import re
 from dataclasses import dataclass
@@ -184,6 +185,10 @@ class ParseError(ValueError):
         self.line = line
         self.column = column
 
+    def __reduce__(self):
+        # args holds the formatted message, which __init__ does not take
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -191,103 +196,69 @@ _TOKEN_RE = re.compile(
   | (?P<num>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<sym>->|<=|>=|<|>|\(|\)|\[|\]|,|\+|-|\*)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_KEYWORDS = {"not", "and", "or", "alw", "G", "ev", "F", "U"}
-
-
-@dataclass
-class _Token:
-    kind: str  # "num" | "ident" | "sym" | "end"
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+_TEMPORAL = {"alw": Always, "G": Always, "ev": Eventually, "F": Eventually}
+_KEYWORDS = {"not", "and", "or", "U", *_TEMPORAL}
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
         self.pos = 0
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
+        for m in _TOKEN_RE.finditer(text):
+            if m.lastgroup == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def error(self, message: str, offset: int | None = None) -> ParseError:
+        """Error at ``offset`` into the text, by default the next token's."""
+        if offset is None:
+            offset = self.peek()[2]
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def accept(self, *values: str) -> str | None:
+        """Consume the next token if its text is one of ``values``."""
+        value = self.peek()[1]
+        if value not in values:
+            return None
         self.pos += 1
-        return tok
+        return value
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            raise self.error(f"expected {value!r}, found {self.peek()[1]!r}")
 
-    def expect(self, value: str) -> _Token:
-        tok = self.peek()
-        if tok.value != value:
-            raise self.error(f"expected {value!r}, found {tok.value!r}")
-        return self.next()
-
-    # formula := implies
+    # formula := or ("->" formula)?, so "->" is right-associative
     def parse_formula(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().value == "->":
-            self.next()
-            right = self.parse_formula()  # right-associative
-            return Implies(left, right)
-        return left
+        left = self.parse_nary("or")
+        return Implies(left, self.parse_formula()) if self.accept("->") else left
 
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.peek().value == "or":
-            self.next()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_unary()]
-        while self.peek().value == "and":
-            self.next()
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+    # or := and ("or" and)*; and := unary ("and" unary)*
+    def parse_nary(self, op: str) -> Formula:
+        parts: list[Formula] = []
+        while not parts or self.accept(op):
+            parts.append(self.parse_nary("and") if op == "or" else self.parse_unary())
+        return parts[0] if len(parts) == 1 else (Or if op == "or" else And)(tuple(parts))
 
     def parse_unary(self) -> Formula:
-        tok = self.peek()
-        if tok.value == "not":
-            self.next()
+        if self.accept("not"):
             return Not(self.parse_unary())
-        if tok.value in ("alw", "G"):
-            self.next()
-            a, b = self.parse_interval()
-            return Always(a, b, self.parse_unary())
-        if tok.value in ("ev", "F"):
-            self.next()
-            a, b = self.parse_interval()
-            return Eventually(a, b, self.parse_unary())
-        return self.parse_primary()
+        keyword = self.accept(*_TEMPORAL)
+        if keyword is None:
+            return self.parse_primary()
+        a, b = self.parse_interval()
+        return _TEMPORAL[keyword](a, b, self.parse_unary())
 
     def parse_interval(self) -> tuple[float, float]:
         self.expect("[")
@@ -300,57 +271,44 @@ class _Parser:
         return a, b
 
     def parse_number(self) -> float:
-        sign = 1.0
-        if self.peek().value == "-":
-            self.next()
-            sign = -1.0
-        return sign * self.parse_literal()
+        return (-1.0 if self.accept("-") else 1.0) * self.parse_literal()
 
     def parse_literal(self) -> float:
-        tok = self.peek()
-        if tok.kind != "num":
-            raise self.error(f"expected number, found {tok.value!r}")
-        value = float(tok.value)
+        kind, text, _ = self.peek()
+        if kind != "num":
+            raise self.error(f"expected number, found {text!r}")
+        value = float(text)
         if not math.isfinite(value):
-            raise self.error(f"number {tok.value} is not finite")
-        self.next()
+            raise self.error(f"number {text} is not finite")
+        self.pos += 1
         return value
 
     def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok.value == "(":
-            self.next()
-            inner = self.parse_formula()
-            if self.peek().value == "U":
-                self.next()
-                a, b = self.parse_interval()
-                right = self.parse_formula()
-                self.expect(")")
-                return Until(a, b, inner, right)
-            self.expect(")")
-            return inner
-        return self.parse_atom()
+        if not self.accept("("):
+            return self.parse_atom()
+        inner = self.parse_formula()
+        if self.accept("U"):
+            a, b = self.parse_interval()
+            inner = Until(a, b, inner, self.parse_formula())
+        self.expect(")")
+        return inner
 
     # atom := expr cmp expr, folded into margin form at parse time
     def parse_atom(self) -> Formula:
         start = self.pos
         lhs_coeffs, lhs_const = self.parse_expr()
-        op = self.peek().value
-        if op not in ("<", "<=", ">", ">="):
-            raise self.error(f"expected comparison operator, found {op!r}")
-        self.next()
+        op = self.accept("<", "<=", ">", ">=")
+        if op is None:
+            raise self.error(f"expected comparison operator, found {self.peek()[1]!r}")
         rhs_coeffs, rhs_const = self.parse_expr()
-        sign = 1.0 if op in (">", ">=") else -1.0
-        coeffs: dict[str, float] = {}
-        for name, c in lhs_coeffs.items():
-            coeffs[name] = coeffs.get(name, 0.0) + sign * c
+        sign = 1.0 if op[0] == ">" else -1.0
+        coeffs = {name: sign * c for name, c in lhs_coeffs.items()}
         for name, c in rhs_coeffs.items():
             coeffs[name] = coeffs.get(name, 0.0) - sign * c
         constant = sign * (lhs_const - rhs_const)
-        text = " ".join(t.value for t in self.tokens[start : self.pos])
+        text = " ".join(tok[1] for tok in self.tokens[start : self.pos])
         if not all(map(math.isfinite, (constant, *coeffs.values()))):
-            first = self.tokens[start]
-            raise ParseError(f"atom {text!r} overflows to a non-finite number", first.line, first.column)
+            raise self.error(f"atom {text!r} overflows to a non-finite number", self.tokens[start][2])
         return Atom(
             coeffs=tuple(sorted((n, c) for n, c in coeffs.items() if c != 0.0)),
             constant=constant,
@@ -360,37 +318,33 @@ class _Parser:
     def parse_expr(self) -> tuple[dict[str, float], float]:
         coeffs: dict[str, float] = {}
         const = 0.0
-        sign = 1.0
-        if self.peek().value in ("+", "-"):
-            sign = -1.0 if self.next().value == "-" else 1.0
+        op = self.accept("+", "-")
         while True:
             name, value = self.parse_term()
+            value = -value if op == "-" else value
             if name is None:
-                const += sign * value
+                const += value
             else:
-                coeffs[name] = coeffs.get(name, 0.0) + sign * value
-            nxt = self.peek().value
-            if nxt in ("+", "-"):
-                sign = -1.0 if self.next().value == "-" else 1.0
-            else:
+                coeffs[name] = coeffs.get(name, 0.0) + value
+            op = self.accept("+", "-")
+            if op is None:
                 return coeffs, const
 
     def parse_term(self) -> tuple[str | None, float]:
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, _ = self.peek()
+        if kind == "num":
             value = self.parse_literal()
-            if self.peek().value == "*":
-                self.next()
-                ident = self.peek()
-                if ident.kind != "ident" or ident.value in _KEYWORDS:
-                    raise self.error("expected identifier after '*'")
-                self.next()
-                return ident.value, value
-            return None, value
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            self.next()
-            return tok.value, 1.0
-        raise self.error(f"expected term, found {tok.value!r}")
+            if not self.accept("*"):
+                return None, value
+            kind, text, _ = self.peek()
+            if kind != "ident" or text in _KEYWORDS:
+                raise self.error("expected identifier after '*'")
+            self.pos += 1
+            return text, value
+        if kind == "ident" and text not in _KEYWORDS:
+            self.pos += 1
+            return text, 1.0
+        raise self.error(f"expected term, found {text!r}")
 
 
 def parse(text: str) -> Formula:
@@ -399,9 +353,8 @@ def parse(text: str) -> Formula:
         raise ParseError("empty specification", 1, 1)
     parser = _Parser(text)
     formula = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+    if parser.peek()[0] != "end":
+        raise parser.error(f"unexpected trailing input {parser.peek()[1]!r}")
     return formula
 
 

@@ -202,6 +202,51 @@ def random_formula(rng: np.random.Generator, trace: Signal, depth: int, budget: 
     )
 
 
+_PRECEDENCE = {Implies: 0, Or: 1, And: 2, Not: 3, Always: 3, Eventually: 3, Until: 4, Atom: 4}
+
+
+def _affine(terms) -> str:
+    """Text of a sum of ``(name, value)`` terms; a ``None`` name is a constant."""
+    out = ""
+    for name, value in terms:
+        size = abs(value)
+        body = repr(size) if name is None else name if size == 1.0 else f"{size!r}*{name}"
+        sign = "-" if math.copysign(1.0, value) < 0 else "+"
+        if out:
+            out += f" {sign} {body}"
+        else:
+            out = body if sign == "+" else f"-{body}"
+    return out
+
+
+def render_formula(f: Formula, rng: np.random.Generator, context: int = 0) -> str:
+    """STL text that parses back to ``f``, up to ``Atom.text``.
+
+    Parentheses appear only where the precedence needs them, so a parse
+    of the text checks it; ``rng`` picks among equivalent spellings.
+    """
+    if isinstance(f, Atom):
+        # margin > 0, or -constant < sum(coeffs * channels)
+        if rng.integers(2):
+            text = f"{_affine([(None, -f.constant)])} < {_affine(f.coeffs)}"
+        else:
+            text = f"{_affine([*f.coeffs, (None, f.constant)])} > 0"
+    elif isinstance(f, Not):
+        text = "not " + render_formula(f.child, rng, 3)
+    elif isinstance(f, (Always, Eventually)):
+        keyword = rng.choice(["alw", "G"] if isinstance(f, Always) else ["ev", "F"])
+        text = f"{keyword}[{f.a!r}, {f.b!r}] {render_formula(f.child, rng, 3)}"
+    elif isinstance(f, (And, Or)):
+        op, inner = (" and ", 3) if isinstance(f, And) else (" or ", 2)
+        text = op.join(render_formula(c, rng, inner) for c in f.children)
+    elif isinstance(f, Implies):
+        text = f"{render_formula(f.left, rng, 1)} -> {render_formula(f.right, rng, 0)}"
+    else:
+        text = (f"({render_formula(f.left, rng, 0)} U[{f.a!r}, {f.b!r}] "
+                f"{render_formula(f.right, rng, 0)})")
+    return f"({text})" if _PRECEDENCE[type(f)] < context else text
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

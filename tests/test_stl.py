@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -14,6 +17,7 @@ from conftest import (
     brute_robustness,
     random_formula,
     random_trace,
+    render_formula,
 )
 
 from pulsefalsify import builtin_benchmark, builtin_benchmark_names, stl
@@ -23,6 +27,7 @@ from pulsefalsify.stl import (
     And,
     Atom,
     Eventually,
+    Formula,
     Implies,
     Not,
     Or,
@@ -34,7 +39,7 @@ from pulsefalsify.stl import (
     robustness,
     robustness_batch,
 )
-from pulsefalsify.stl import _conj, _eval, _reach, _until, _windows
+from pulsefalsify.stl import _conj, _eval, _operands, _reach, _until, _windows
 
 
 def ramp_trace():
@@ -115,13 +120,83 @@ class TestParse:
     def test_non_finite_literal_reports_its_position(self, text, column):
         with pytest.raises(ParseError, match="not finite") as exc:
             parse(text)
-        assert exc.value.column == column
+        # each literal is on the last line: line 2 of the multi-line text
+        assert (exc.value.line, exc.value.column) == (text.count("\n") + 1, column)
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("x > 0 and\n  y > @", "unexpected character '@'", 2, 7),
+        ("x > 0 and\r\n  y > @", "unexpected character '@'", 2, 7),
+        ("x > 0 and\n\ty > @", "unexpected character '@'", 2, 6),
+        ("x > 0\n\t\t@", "unexpected character '@'", 2, 3),
+        ("x > 0 and\n  alw[5,2] (y > 0)", "malformed interval [5.0, 2.0]", 2, 12),
+        ("x > 0 or\n\n  y > 1e308 + 1e308", "atom 'y > 1e308 + 1e308' overflows", 3, 3),
+        ("x > 0\n)", "unexpected trailing input ')'", 2, 1),
+        ("x > 0\r\n\r\n  y > 1", "unexpected trailing input 'y'", 3, 3),
+        ("alw[0,1]\n\t(x > 0 and\r\n\ty > 0) )", "unexpected trailing input ')'", 3, 9),
+    ])
+    def test_errors_past_the_first_line_report_their_position(self, text, message, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value).startswith(message)
+        assert str(exc.value).endswith(f"(line {line}, column {column})")
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    @pytest.mark.parametrize("copier", [copy.copy, lambda e: pickle.loads(pickle.dumps(e))])
+    def test_parse_error_survives_pickle_and_copy(self, copier):
+        with pytest.raises(ParseError) as exc:
+            parse("x > 0 and\n  y > @")
+        error = exc.value
+        clone = copier(error)
+        assert type(clone) is ParseError
+        assert (str(clone), clone.line, clone.column) == (str(error), 2, 7)
 
     @pytest.mark.parametrize("text", ["x > 1e308 + 1e308", "1e308*x + 1e308*x > 0"])
     def test_atom_that_overflows_rejected(self, text):
         with pytest.raises(ParseError, match="non-finite") as exc:
             parse(text)
         assert (exc.value.line, exc.value.column) == (1, 1)
+
+
+def walk(f):
+    yield f
+    if not isinstance(f, Atom):
+        for child in _operands(f):
+            yield from walk(child)
+
+
+def without_text(f):
+    """``f`` with every ``Atom.text`` emptied, the one field a render drops."""
+    if isinstance(f, Atom):
+        return dataclasses.replace(f, text="")
+    fields = {}
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        if isinstance(value, Formula):
+            value = without_text(value)
+        elif isinstance(value, tuple):
+            value = tuple(map(without_text, value))
+        fields[field.name] = value
+    return type(f)(**fields)
+
+
+class TestParseRoundTrip:
+    """Rendered random formulas parse back to themselves, node by node."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rendered_formulas_parse_back(self, seed):
+        rng = np.random.default_rng(seed)
+        kinds = set()
+        for _ in range(60):
+            trace = random_trace(rng, max_samples=60)
+            budget = trace.times[-1]
+            f1, f2, f3 = (random_formula(rng, trace, int(rng.integers(0, 4)), budget)
+                          for _ in range(3))
+            # random_formula makes no Implies; these two pin "->" to the right
+            for f in (f1, Implies(f1, Implies(f2, f3)), Implies(Implies(f1, f2), f3)):
+                text = render_formula(f, rng)
+                assert without_text(parse(text)) == without_text(f), text
+                kinds.update(type(node).__name__ for node in walk(f))
+        assert kinds == {"Atom", "Not", "And", "Or", "Implies", "Always", "Eventually", "Until"}
 
 
 class TestHorizon:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pickle
@@ -276,6 +277,16 @@ class TestLoadBenchmark:
                 "spec 'phi3': number 1e400 is not finite (line 1, column 16)")) as caught:
             load_benchmark(json.dumps(doc))
         assert (caught.value.line, caught.value.column) == (1, 16)
+
+    def test_spec_parse_error_survives_pickle_and_copy(self):
+        doc = self.base_doc()
+        doc["specs"]["phi3"] = "alw[0,10](y <= 1e400)"
+        with pytest.raises(ParseError) as caught:
+            load_benchmark(json.dumps(doc))
+        for clone in (pickle.loads(pickle.dumps(caught.value)), copy.copy(caught.value)):
+            assert type(clone) is ParseError
+            assert str(clone) == "spec 'phi3': number 1e400 is not finite (line 1, column 16)"
+            assert (clone.line, clone.column) == (1, 16)
 
     def test_spec_horizon_exceeding_benchmark_rejected(self):
         doc = self.base_doc()
