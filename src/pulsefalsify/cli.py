@@ -40,7 +40,8 @@ _OPTIMIZER_NAMES = {"random": "random_search", "random_search": "random_search",
 
 
 def _load_trace_csv(path: str) -> Signal:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig reads past the byte-order mark that Excel writes
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next(csv.reader(fh), [])
         body = fh.readlines()
     if not any(line.strip() for line in body):

@@ -3,8 +3,8 @@
 An experiment runs every (spec, mask, repetition) cell with a seed derived
 from the base seed and a stable hash of the cell key, so results are
 reproducible and independent of execution order.  ``ExperimentConfig``
-rejects a name given twice, a spec that a benchmark lacks, and a setting a
-search would reject, before any cell runs.  The cells of one benchmark are
+rejects an empty list, a name given twice, a spec that a benchmark lacks,
+and a setting a search would reject, before any cell runs.  The cells of one benchmark are
 ask/tell searches stepped side by side by ``optimizers.lockstep``, in one
 thread: at every step the pending points of all live searches, across
 specs, are decoded and scored as one block by
@@ -76,13 +76,13 @@ class ExperimentConfig:
         object.__setattr__(self, "parallelism", as_integer("parallelism", self.parallelism, 1))
         if isinstance(self.spec_names, str) or isinstance(self.mask_labels, str):
             raise ValueError("spec_names and mask_labels take a sequence of names, not a string")
-        if not self.mask_labels:
-            raise ValueError("mask list must be non-empty")
         labels = tuple(FreeMask.from_label(label).label for label in self.mask_labels)
         object.__setattr__(self, "mask_labels", labels)
         for kind, names in (("benchmark", [b.name for b in self.benchmarks]),
-                            ("spec", self.spec_names or ()), ("mask", labels)):
-            if len(set(names)) != len(names):
+                            ("spec", self.spec_names), ("mask", labels)):
+            if names is not None and not names:  # spec_names None means every spec
+                raise ValueError(f"{kind} list must be non-empty")
+            if names and len(set(names)) != len(names):
                 raise ValueError(f"{kind} list names one {kind} twice: {list(names)}")
         for benchmark, spec in itertools.product(self.benchmarks, self.spec_names or ()):
             benchmark.spec(spec)  # raises KeyError
@@ -175,27 +175,19 @@ def aggregate(results: list[RunRecord]) -> list[AggregateRow]:
     mean simulation count over successful runs."""
     rows = []
     keyfn = lambda rec: (rec.benchmark, rec.spec, rec.mask)
-    for (bench, spec, mask), group in itertools.groupby(sorted(results, key=keyfn), keyfn):
+    for key, group in itertools.groupby(sorted(results, key=keyfn), keyfn):
         runs = tuple(group)
-        successes = [rec for rec in runs if rec.falsified]
-        rate = 100.0 * len(successes) / len(runs)
-        mean = (
-            _round_half_up(sum(rec.sims for rec in successes) / len(successes))
-            if successes
-            else None
-        )
-        rows.append(AggregateRow(benchmark=bench, spec=spec, mask=mask,
-                                 success_rate=rate, mean_sims_successful=mean))
+        sims = [rec.sims for rec in runs if rec.falsified]
+        mean = _round_half_up(sum(sims) / len(sims)) if sims else None
+        rows.append(AggregateRow(*key, success_rate=100.0 * len(sims) / len(runs),
+                                 mean_sims_successful=mean))
     return rows
 
 
 def render_cell(row: AggregateRow) -> str:
     """Table-cell rendering: "100 (6)", "60 (184)", or "0 (-)"."""
-    rate = row.success_rate
-    rate_text = str(int(rate)) if float(rate).is_integer() else f"{rate:g}"
-    if row.mean_sims_successful is None:
-        return f"{rate_text} (-)"
-    return f"{rate_text} ({row.mean_sims_successful})"
+    sims = "-" if row.mean_sims_successful is None else row.mean_sims_successful
+    return f"{row.success_rate:g} ({sims})"
 
 
 def single_param_successes(results: list[RunRecord]) -> dict[tuple[str, str], set[str]]:
@@ -203,9 +195,9 @@ def single_param_successes(results: list[RunRecord]) -> dict[tuple[str, str], se
     least one successful repetition."""
     out: dict[tuple[str, str], set[str]] = {}
     for rec in results:
-        out.setdefault((rec.benchmark, rec.spec), set())
+        singles = out.setdefault((rec.benchmark, rec.spec), set())
         if rec.mask in _PARAM_LETTERS and rec.falsified:
-            out[(rec.benchmark, rec.spec)].add(rec.mask)
+            singles.add(rec.mask)
     return out
 
 
@@ -219,39 +211,32 @@ def combination_coverage(
     present in ``all_results``) falsified it.  All 31 non-empty parameter
     subsets are scored; per size the best mask(s) are reported.
     """
-    own_success: dict[tuple, bool] = {}
-    for rec in all_results or []:
-        key = ((rec.benchmark, rec.spec), rec.mask)
-        own_success[key] = own_success.get(key, False) or rec.falsified
+    own_success = {((rec.benchmark, rec.spec), rec.mask)
+                   for rec in all_results or () if rec.falsified}
     counts: dict[str, int] = {}
-    for size in range(1, 6):
-        for combo in itertools.combinations(_PARAM_LETTERS, size):
-            label = "-".join(combo)
-            covered = 0
-            for spec_key, singles in per_param_success.items():
-                if any(p in singles for p in combo) or own_success.get((spec_key, label), False):
-                    covered += 1
-            counts[label] = covered
     best_by_size: dict[int, tuple[tuple[str, ...], int]] = {}
     for size in range(1, 6):
-        labels = ["-".join(c) for c in itertools.combinations(_PARAM_LETTERS, size)]
-        top = max(counts[l] for l in labels)
-        best_by_size[size] = (tuple(l for l in labels if counts[l] == top), top)
+        best, top = [], -1
+        for combo in itertools.combinations(_PARAM_LETTERS, size):
+            label = "-".join(combo)
+            counts[label] = covered = sum(
+                any(p in singles for p in combo) or (spec_key, label) in own_success
+                for spec_key, singles in per_param_success.items())
+            if covered > top:
+                best, top = [], covered
+            if covered == top:
+                best.append(label)
+        best_by_size[size] = (tuple(best), top)
     return CoverageSummary(best_by_size=best_by_size, counts=counts)
 
 
 def cactus_data(results: list[RunRecord]) -> list[tuple[str, int, int]]:
     """Per mask, successful-run simulation counts sorted ascending and
     paired with their cumulative rank: rows (mask, rank, sims)."""
-    rows: list[tuple[str, int, int]] = []
-    by_mask: dict[str, list[int]] = {}
-    for rec in results:
-        if rec.falsified:
-            by_mask.setdefault(rec.mask, []).append(rec.sims)
-    for mask in sorted(by_mask):
-        for rank, sims in enumerate(sorted(by_mask[mask]), start=1):
-            rows.append((mask, rank, sims))
-    return rows
+    pairs = sorted((rec.mask, rec.sims) for rec in results if rec.falsified)
+    return [(mask, rank, sims)
+            for mask, series in itertools.groupby(pairs, lambda pair: pair[0])
+            for rank, (_, sims) in enumerate(series, start=1)]
 
 
 def _format(value) -> str:
@@ -262,68 +247,47 @@ def _format(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format(v) for v in row])
+    return path
 
 
 def write_csvs(results: list[RunRecord], out_dir) -> dict[str, Path]:
     """Emit results.csv, aggregate.csv, coverage.csv, and cactus.csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    paths["results"] = out / "results.csv"
-    _write_csv(
-        paths["results"],
-        ["benchmark", "spec", "mask", "rep", "seed", "falsified", "sims", "best_robustness"],
-        [
-            (r.benchmark, r.spec, r.mask, r.rep, r.seed, r.falsified, r.sims, r.best_robustness)
-            for r in results
-        ],
-    )
-
-    agg = aggregate(results)
-    paths["aggregate"] = out / "aggregate.csv"
-    _write_csv(
-        paths["aggregate"],
-        ["benchmark", "spec", "mask", "success_rate", "mean_sims"],
-        [
-            (
-                row.benchmark, row.spec, row.mask, row.success_rate,
-                "-" if row.mean_sims_successful is None else row.mean_sims_successful,
-            )
-            for row in agg
-        ],
-    )
-
     coverage = combination_coverage(single_param_successes(results), results)
-    paths["coverage"] = out / "coverage.csv"
-    _write_csv(
-        paths["coverage"],
-        ["size", "mask", "specs_covered"],
-        sorted(
-            (label.count("-") + 1, label, count)
-            for label, count in coverage.counts.items()
+    tables = {
+        "results": (
+            ["benchmark", "spec", "mask", "rep", "seed", "falsified", "sims", "best_robustness"],
+            [(r.benchmark, r.spec, r.mask, r.rep, r.seed, r.falsified, r.sims, r.best_robustness)
+             for r in results],
         ),
-    )
-
-    paths["cactus"] = out / "cactus.csv"
-    _write_csv(paths["cactus"], ["mask", "rank", "sims"], cactus_data(results))
-    return paths
+        "aggregate": (
+            ["benchmark", "spec", "mask", "success_rate", "mean_sims"],
+            [(row.benchmark, row.spec, row.mask, row.success_rate,
+              "-" if row.mean_sims_successful is None else row.mean_sims_successful)
+             for row in aggregate(results)],
+        ),
+        "coverage": (
+            ["size", "mask", "specs_covered"],
+            sorted((label.count("-") + 1, label, count)
+                   for label, count in coverage.counts.items()),
+        ),
+        "cactus": (["mask", "rank", "sims"], cactus_data(results)),
+    }
+    return {name: _write_csv(Path(out_dir) / f"{name}.csv", *table)
+            for name, table in tables.items()}
 
 
 def write_errors(results: list[RunRecord], out_dir) -> Path:
     """Emit errors.csv: one row per errored cell, only the header when no
     cell errored."""
-    path = Path(out_dir) / "errors.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        path,
+    return _write_csv(
+        Path(out_dir) / "errors.csv",
         ["benchmark", "spec", "mask", "rep", "seed", "error"],
         [(r.benchmark, r.spec, r.mask, r.rep, r.seed, r.error) for r in results if r.error is not None],
     )
-    return path

@@ -328,6 +328,23 @@ class TestMonitor:
             assert main(["monitor", "--spec", "x > 0", "--trace", str(path)]) == 2
         assert capsys.readouterr().err == f"error: trace file {path}{message}\n"
 
+    @pytest.mark.parametrize("text", [
+        "time,y\n0,0\n0.5,0.75\n1,1\n",
+        "time,y\n0,0\n0.5\n",
+        "time,y\n0,0\n0.5,abc\n",
+    ])
+    def test_a_byte_order_mark_is_read_past(self, tmp_path, capsys, text):
+        # Excel starts a UTF-8 CSV with one; it once made the first header
+        # cell '\ufefftime'
+        printed = []
+        for name, mark in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            path = tmp_path / name
+            path.write_text(mark + text, encoding="utf-8")
+            code = main(["monitor", "--spec", "alw[0,1](y <= 0.5)", "--trace", str(path)])
+            out, err = capsys.readouterr()
+            printed.append((code, out, err.replace(str(path), "TRACE")))
+        assert printed[0] == printed[1]
+
     def test_an_overflowing_margin_prints_only_the_error(self, tmp_path):
         # 2*u1 overflows; numpy's warning used to come before the error line
         path = tmp_path / "big.csv"

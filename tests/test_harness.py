@@ -1,7 +1,9 @@
 import gc
 import json
 import math
+import random
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from conftest import OVERFLOW_DOC
 from pulsefalsify import falsification, harness
 from pulsefalsify.falsification import FreeMask, falsify
 from pulsefalsify.harness import (
+    AggregateRow,
     ExperimentConfig,
     RunRecord,
     SWEEP_MASK_LABELS,
@@ -19,6 +22,7 @@ from pulsefalsify.harness import (
     combination_coverage,
     render_cell,
     run_experiment,
+    single_param_successes,
     write_csvs,
     write_errors,
 )
@@ -114,6 +118,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="twice"):
             self.make_config(mask_labels=("W", "w"))
 
+    @pytest.mark.parametrize("field, kind", [
+        ("benchmarks", "benchmark"), ("spec_names", "spec"), ("mask_labels", "mask"),
+    ])
+    def test_an_empty_list_is_rejected(self, field, kind):
+        # an empty spec list once read as every spec, and an empty benchmark
+        # list as a sweep of no cells
+        with pytest.raises(ValueError, match=f"{kind} list must be non-empty"):
+            self.make_config(**{field: ()})
+        records = run_experiment(self.make_config(spec_names=None, mask_labels=("W",),
+                                                  repetitions=1))
+        assert [r.spec for r in records] == ["phi1", "phi2"]
+
     @pytest.mark.parametrize("field, value", [
         ("budget", 10.5), ("repetitions", 2.5), ("base_seed", 1.5), ("parallelism", 2.5),
         ("parallelism", "3"), ("budget", True), ("repetitions", True), ("base_seed", False),
@@ -181,6 +197,15 @@ class TestAggregate:
             runs = [record(rep=i, falsified=i < successes) for i in range(5)]
             (row,) = aggregate(runs)
             assert row.success_rate == pytest.approx(successes * 20.0)
+
+    def test_rate_text_for_every_repetition_count(self):
+        # "%g" alone renders each rate 100 k / n, n <= 200, as the integer
+        # test and int() once did
+        for n in range(1, 201):
+            for k in range(n + 1):
+                rate = 100.0 * k / n
+                text = str(int(rate)) if rate.is_integer() else f"{rate:g}"
+                assert render_cell(AggregateRow("b", "p", "W", rate, None)) == f"{text} (-)"
 
     def test_mean_rounds_half_up(self):
         runs = [
@@ -289,11 +314,156 @@ class TestWriteCsvs:
         header = first["results"].decode().splitlines()[0]
         assert header == "benchmark,spec,mask,rep,seed,falsified,sims,best_robustness"
 
+    def test_golden_bytes(self, tmp_path):
+        # two benchmarks, records out of key order, a mask with no success,
+        # a 1-of-3 rate, tied sims in one cactus series, non-finite and
+        # tiny robustness values, an error message that needs quoting
+        rows = [
+            ("lag", "phi1", "W", 0, 101, True, 12, -0.5),
+            ("lag", "phi1", "L-P-W-H-D", 1, 105, True, 7, -1.5),
+            ("cc", "phi2", "L-P", 0, 201, False, 0, math.nan, 'ValueError: bad "x", or y'),
+            ("lag", "phi1", "W", 2, 103, False, 200, math.inf),
+            ("cc", "phi1", "L-P", 0, 301, True, 40, -0.125),
+            ("lag", "phi1", "L-P-W-H-D", 0, 104, True, 7, -0.25),
+            ("cc", "phi2", "W", 0, 202, True, 3, -2.0),
+            ("lag", "phi1", "W", 1, 102, False, 200, 1e-17),
+            ("cc", "phi2", "L-P", 1, 203, False, 50, 0.125),
+            ("cc", "phi1", "W", 0, 302, False, 60, 0.75),
+        ]
+        runs = [RunRecord(*row) for row in rows]
+        paths = write_csvs(runs, tmp_path)
+        paths["errors"] = write_errors(runs, tmp_path)
+        coverage = ["size,mask,specs_covered",
+                    "1,D,0", "1,H,0", "1,L,0", "1,P,0", "1,W,2",
+                    "2,H-D,0", "2,L-D,0", "2,L-H,0", "2,L-P,1", "2,L-W,2",
+                    "2,P-D,0", "2,P-H,0", "2,P-W,2", "2,W-D,2", "2,W-H,2",
+                    "3,L-H-D,0", "3,L-P-D,0", "3,L-P-H,0", "3,L-P-W,2", "3,L-W-D,2",
+                    "3,L-W-H,2", "3,P-H-D,0", "3,P-W-D,2", "3,P-W-H,2", "3,W-H-D,2",
+                    "4,L-P-H-D,0", "4,L-P-W-D,2", "4,L-P-W-H,2", "4,L-W-H-D,2", "4,P-W-H-D,2",
+                    "5,L-P-W-H-D,2"]
+        expected = {
+            "results": [
+                "benchmark,spec,mask,rep,seed,falsified,sims,best_robustness",
+                "lag,phi1,W,0,101,true,12,-0.5",
+                "lag,phi1,L-P-W-H-D,1,105,true,7,-1.5",
+                "cc,phi2,L-P,0,201,false,0,nan",
+                "lag,phi1,W,2,103,false,200,inf",
+                "cc,phi1,L-P,0,301,true,40,-0.125",
+                "lag,phi1,L-P-W-H-D,0,104,true,7,-0.25",
+                "cc,phi2,W,0,202,true,3,-2.0",
+                "lag,phi1,W,1,102,false,200,1e-17",
+                "cc,phi2,L-P,1,203,false,50,0.125",
+                "cc,phi1,W,0,302,false,60,0.75",
+            ],
+            "aggregate": [
+                "benchmark,spec,mask,success_rate,mean_sims",
+                "cc,phi1,L-P,100.0,40",
+                "cc,phi1,W,0.0,-",
+                "cc,phi2,L-P,0.0,-",
+                "cc,phi2,W,100.0,3",
+                "lag,phi1,L-P-W-H-D,100.0,7",
+                "lag,phi1,W,33.333333333333336,12",
+            ],
+            "coverage": coverage,
+            "cactus": [
+                "mask,rank,sims",
+                "L-P,1,40",
+                "L-P-W-H-D,1,7",
+                "L-P-W-H-D,2,7",
+                "W,1,3",
+                "W,2,12",
+            ],
+            "errors": [
+                "benchmark,spec,mask,rep,seed,error",
+                'cc,phi2,L-P,0,201,"ValueError: bad ""x"", or y"',
+            ],
+        }
+        assert paths == {name: tmp_path / f"{name}.csv" for name in expected}
+        for name, lines in expected.items():
+            assert paths[name].read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+
     def test_failed_cells_render_dash(self, tmp_path):
         runs = [record(rep=i, falsified=False) for i in range(3)]
         paths = write_csvs(runs, tmp_path)
         agg = paths["aggregate"].read_text().splitlines()
         assert agg[1].endswith(",-")
+
+
+# every non-empty subset of the parameters, by size, then by the letters' positions
+ALL_MASKS = sorted(("-".join(p for i, p in enumerate("LPWHD") if bits >> i & 1)
+                    for bits in range(1, 32)),
+                   key=lambda m: (m.count("-"), ["LPWHD".index(p) for p in m.split("-")]))
+
+
+class TestReportingOracles:
+    """The reporting functions against brute-force oracles, on seeded
+    random record sets: empty sets, repeated reps, up to all 31 masks."""
+
+    def records(self, rng, trial):
+        """No records, one or more on every mask, or a few on some masks."""
+        if trial % 50 == 0:
+            return []
+        every = trial % 10 == 1
+        masks = ALL_MASKS if every else rng.sample(ALL_MASKS, rng.randint(1, 31))
+        picks = (masks if every else []) + rng.choices(masks, k=rng.choice([1, 3, 12, 40]))
+        out = []
+        for mask in picks:
+            falsified = rng.random() < 0.4
+            out.append(RunRecord(
+                rng.choice("ab"), rng.choice(["p", "q", "r"]), mask,
+                rng.randint(0, 3), rng.randint(0, 9), falsified, rng.randint(1, 30),
+                -1.0 if falsified else 0.5))
+        return out
+
+    def aggregate_oracle(self, records):
+        rows = []
+        for key in sorted({(r.benchmark, r.spec, r.mask) for r in records}):
+            runs = [r for r in records if (r.benchmark, r.spec, r.mask) == key]
+            sims = [r.sims for r in runs if r.falsified]
+            mean = math.floor(Fraction(sum(sims), len(sims)) + Fraction(1, 2)) if sims else None
+            rows.append(AggregateRow(*key, 100.0 * len(sims) / len(runs), mean))
+        return rows
+
+    def cactus_oracle(self, records):
+        rows = []
+        for mask in sorted({r.mask for r in records if r.falsified}):
+            sims = sorted(r.sims for r in records if r.falsified and r.mask == mask)
+            rows += [(mask, rank + 1, s) for rank, s in enumerate(sims)]
+        return rows
+
+    def singles_oracle(self, records):
+        return {(r.benchmark, r.spec): {s.mask for s in records if s.falsified and len(s.mask) == 1
+                                        and (s.benchmark, s.spec) == (r.benchmark, r.spec)}
+                for r in records}
+
+    def coverage_oracle(self, per_param, records):
+        counts = {}
+        for mask in ALL_MASKS:
+            counts[mask] = 0
+            for key, singles in per_param.items():
+                own = any(r.falsified and ((r.benchmark, r.spec), r.mask) == (key, mask)
+                          for r in records)
+                counts[mask] += own or any(p in singles for p in mask.split("-"))
+        best = {}
+        for size in range(1, 6):
+            sized = [m for m in ALL_MASKS if m.count("-") + 1 == size]
+            top = max(counts[m] for m in sized)
+            best[size] = (tuple(m for m in sized if counts[m] == top), top)
+        return counts, best
+
+    def test_against_oracles(self):
+        rng = random.Random(20221)
+        for trial in range(1000):
+            records = self.records(rng, trial)
+            assert aggregate(records) == self.aggregate_oracle(records)
+            assert cactus_data(records) == self.cactus_oracle(records)
+            singles = single_param_successes(records)
+            assert singles == self.singles_oracle(records)
+            own = records if trial % 2 else None
+            cov = combination_coverage(singles, own)
+            counts, best = self.coverage_oracle(singles, own or [])
+            assert list(cov.counts.items()) == list(counts.items())
+            assert cov.best_by_size == best
 
 
 def record_chunks(monkeypatch) -> list[list[int]]:
