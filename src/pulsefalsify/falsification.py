@@ -162,9 +162,12 @@ def decode_batch(points: np.ndarray, space: ParamSpace) -> tuple[np.ndarray, dic
             f"coordinate {space.names[column]} must be in [0, 1], got {points[row, column]}"
         )
     native = space.lower + points * space.widths
+    pulses = len(space.channels)
+    if native.shape[1] > pulses:  # lower + widths may round past a static's upper bound
+        statics = native[:, pulses:]
+        np.minimum(statics, [p.upper for p in space.benchmark.static_params], out=statics)
     fields = np.empty((len(space.benchmark.inputs), len(_DEFAULT_FIELDS), len(points)))
     fields[:] = _DEFAULT_FIELDS
-    pulses = len(space.channels)
     fields[space.channels, space.fields] = native[:, :pulses].T
     return fields, dict(zip(space.names[pulses:], native.T[pulses:]))
 

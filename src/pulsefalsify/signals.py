@@ -32,10 +32,32 @@ __all__ = [
 _PHASE_TOL = 1e-9
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+def _finite(value, where: str) -> float:
+    """``value`` as a finite float, else a ValueError naming ``where``.  A bool
+    or a string is not a number here, though ``float()`` takes both."""
+    try:
+        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _check_range(where: str, lower, upper) -> None:
+    """A ValueError naming ``where`` unless ``lower`` and ``upper`` are finite
+    numbers with lower < upper, whose width upper - lower is finite too."""
+    _finite(lower, f"{where} lower")
+    _finite(upper, f"{where} upper")
+    if not lower < upper:
+        raise ValueError(f"{where} requires lower < upper, got [{lower}, {upper}]")
+    if not math.isfinite(upper - lower):  # else every value scaled into it is NaN
+        raise ValueError(f"{where} width upper - lower overflows, got [{lower}, {upper}]")
+
+
+def _check_unique(names, what: str) -> None:
+    if len(set(names)) != len(names):
+        raise ValueError(f"{what} names must be unique, got {names}")
 
 
 @dataclass(frozen=True)
@@ -46,14 +68,7 @@ class InputRange:
     upper: float
 
     def __post_init__(self) -> None:
-        _require_finite("input range", self.lower, self.upper)
-        if not self.lower < self.upper:
-            raise ValueError(
-                f"input range requires lower < upper, got [{self.lower}, {self.upper}]"
-            )
-        if not math.isfinite(self.upper - self.lower):  # else every pulse level is NaN
-            raise ValueError(f"input range width upper - lower overflows, "
-                             f"got [{self.lower}, {self.upper}]")
+        _check_range("input range", self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -72,20 +87,10 @@ class PulseParams:
     delay_n: float
 
     def __post_init__(self) -> None:
-        _require_finite(
-            "pulse params",
-            self.low_n,
-            self.period_n,
-            self.width_n,
-            self.high_n,
-            self.delay_n,
-        )
-        for name in ("low_n", "width_n", "high_n", "delay_n"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not 0.0 <= self.period_n <= 2.0:
-            raise ValueError(f"period_n must be in [0, 2], got {self.period_n}")
+        for name in ("low_n", "period_n", "width_n", "high_n", "delay_n"):
+            value, top = getattr(self, name), 2 if name == "period_n" else 1
+            if not 0.0 <= _finite(value, name) <= top:
+                raise ValueError(f"{name} must be in [0, {top}], got {value}")
 
 
 class PhysicalPulse(NamedTuple):
@@ -106,8 +111,7 @@ def denormalize(params: PulseParams, rng: InputRange, horizon: float) -> Physica
     delay = delay_n * horizon, low = lower + low_n * (upper - lower),
     high = low + high_n * (upper - low).
     """
-    _require_finite("horizon", horizon)
-    if horizon <= 0:
+    if _finite(horizon, "horizon") <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     return scale_pulse(params.low_n, params.period_n, params.width_n, params.high_n,
                        params.delay_n, rng.lower, rng.upper, horizon)
@@ -125,12 +129,17 @@ def scale_pulse(low_n, period_n, width_n, high_n, delay_n, lower, upper,
     return PhysicalPulse(period, width, delay, low, high)
 
 
-def uniform_grid(horizon: float, dt: float) -> np.ndarray:
-    """Uniform grid {0, dt, 2*dt, ..., horizon}."""
+def _grid_steps(horizon: float, dt: float) -> int:
+    """The number of dt steps of :func:`uniform_grid` to the horizon; a
+    ValueError unless 0 < dt <= horizon."""
     if not (0 < dt <= horizon):
         raise ValueError(f"dt must satisfy 0 < dt <= horizon, got dt={dt}")
-    n = int(round(horizon / dt))
-    return np.arange(n + 1, dtype=float) * dt
+    return int(round(horizon / dt))
+
+
+def uniform_grid(horizon: float, dt: float) -> np.ndarray:
+    """Uniform grid {0, dt, 2*dt, ..., horizon}."""
+    return np.arange(_grid_steps(horizon, dt) + 1, dtype=float) * dt
 
 
 def pulse_values(period, width, delay, low, high, horizon: float, times) -> np.ndarray:
@@ -189,8 +198,7 @@ class Signal:
             raise ValueError("times must form a uniform grid")
         if len(names) != len(channels):
             raise ValueError("channel_names count must match channels")
-        if len(set(names)) != len(names):
-            raise ValueError(f"channel names must be unique, got {names}")
+        _check_unique(names, "channel")
         for name, c in zip(names, channels):
             if c.ndim != 1 or len(c) != len(times):
                 raise ValueError(f"channel {name!r} length does not match times")

@@ -29,7 +29,8 @@ from typing import Mapping
 import numpy as np
 
 from . import stl
-from .signals import InputRange, Signal, uniform_grid
+from .signals import (InputRange, Signal, _check_range, _check_unique, _finite, _grid_steps,
+                      uniform_grid)
 
 __all__ = [
     "Benchmark",
@@ -46,18 +47,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Simulation failed (e.g. the state became non-finite)."""
-
-
-def _finite(value, where: str) -> float:
-    """``value`` as a finite float, else a ValueError naming ``where``.  A bool
-    or a string is not a number here, though ``float()`` takes both."""
-    try:
-        number = math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValueError(f"{where} must be a finite number, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -87,11 +76,7 @@ class StaticParam:
     default: float
 
     def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"static param {self.name!r}: lower must be < upper")
-        if not math.isfinite(self.upper - self.lower):  # else decoded values are NaN
-            raise ValueError(f"static param {self.name!r}: width upper - lower overflows, "
-                             f"got [{self.lower}, {self.upper}]")
+        _check_range(f"static param {self.name!r}:", self.lower, self.upper)
         if not self.lower <= self.default <= self.upper:
             raise ValueError(f"static param {self.name!r}: default outside range")
 
@@ -113,19 +98,14 @@ class Benchmark:
             raise ValueError(f"horizon and dt must be finite, got {self.horizon} and {self.dt}")
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not (0 < self.dt <= self.horizon):
-            raise ValueError(f"dt must satisfy 0 < dt <= horizon, got {self.dt}")
-        steps = self.horizon / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        whole, steps = _grid_steps(self.horizon, self.dt), self.horizon / self.dt
+        if abs(steps - whole) > 1e-9 * steps:
             raise ValueError(
                 f"horizon {self.horizon} s is not a whole number of dt={self.dt} s steps"
             )
         names = [n for n, _ in self.inputs]
-        if len(set(names)) != len(names):
-            raise ValueError("input channel names must be unique")
-        statics = [p.name for p in self.static_params]
-        if len(set(statics)) != len(statics):
-            raise ValueError(f"static param names must be unique, got {statics}")
+        _check_unique(names, "input channel")
+        _check_unique([p.name for p in self.static_params], "static param")
         outputs, channels, _, overridable, _ = _MODELS[self.model.kind]
         if len(self.inputs) != channels:
             raise ValueError(f"model {self.model.kind!r} takes {channels} input channel(s), "
@@ -146,7 +126,8 @@ class Benchmark:
         for spec_name, text in self.spec_texts.items():
             try:
                 formula = stl.parse(text)
-            except stl.ParseError as exc:
+                stl._reach(formula, self.dt)  # every window holds a grid instant
+            except ValueError as exc:  # a stl.ParseError, too
                 exc.args = (f"spec {spec_name!r}: {exc}",)
                 raise
             if stl.horizon_of(formula) > self.horizon + 1e-9:
@@ -563,8 +544,8 @@ def simulate(
     ``SimulationError`` if the state becomes non-finite, and ``ValueError``
     for missing channels or static values outside their declared ranges.
     """
-    grid = benchmark.grid()
-    if len(inputs.times) != len(grid) or not np.allclose(inputs.times, grid, atol=1e-9):
+    grid = benchmark.times
+    if len(inputs.times) != len(grid) or not np.allclose(inputs.times, grid, rtol=0, atol=1e-9):
         raise ValueError("input signal grid does not match the benchmark grid")
     u = np.stack([inputs.channel(name) for name in benchmark.input_names])
     statics = {name: np.array([float(v)]) for name, v in (static_values or {}).items()}
@@ -583,10 +564,6 @@ def simulate(
 # ---------------------------------------------------------------------------
 # Configuration loading
 
-_TOP_KEYS = {"name", "horizon", "dt", "inputs", "model", "specs", "static_params"}
-_REQUIRED_KEYS = {"name", "horizon", "dt", "inputs", "model", "specs"}
-
-
 def _expect(value, kind: type, where: str):
     """``value`` if it is a ``kind`` (dict or list), else a ValueError naming ``where``."""
     if not isinstance(value, kind):
@@ -595,13 +572,22 @@ def _expect(value, kind: type, where: str):
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(_expect(obj, dict, where)) - allowed
+def _check_keys(obj: dict, where: str, required, optional=()) -> None:
+    unknown = set(_expect(obj, dict, where)) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
+    missing = set(required) - set(obj)
     if missing:
         raise ValueError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _entries(doc: dict, key: str, kind: str, numbers: tuple[str, ...]):
+    """The name and the finite ``numbers`` of each ``kind`` entry of the
+    array ``doc[key]``, which may be absent."""
+    for entry in _expect(doc.get(key, []), list, f"benchmark config: {key!r}"):
+        _check_keys(entry, f"{kind} entry", ("name", *numbers))
+        name = str(entry["name"])
+        yield name, [_finite(entry[k], f"{kind} {name!r} {k!r}") for k in numbers]
 
 
 def load_benchmark(document: str) -> Benchmark:
@@ -610,31 +596,19 @@ def load_benchmark(document: str) -> Benchmark:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ValueError(f"benchmark config is not valid JSON: {exc}") from exc
-    _check_keys(doc, _TOP_KEYS, _REQUIRED_KEYS, "benchmark config")
+    _check_keys(doc, "benchmark config", ("name", "horizon", "dt", "inputs", "model", "specs"),
+                ("static_params",))
     inputs = []
-    for entry in _expect(doc["inputs"], list, "benchmark config: 'inputs'"):
-        _check_keys(entry, {"name", "min", "max"}, {"name", "min", "max"}, "input entry")
-        name = str(entry["name"])
-        lower, upper = (_finite(entry[key], f"input {name!r} {key!r}") for key in ("min", "max"))
+    for name, bounds in _entries(doc, "inputs", "input", ("min", "max")):
         try:
-            inputs.append((name, InputRange(lower, upper)))
+            inputs.append((name, InputRange(*bounds)))
         except ValueError as exc:
             raise ValueError(f"input {name!r}: {exc}") from None
-    model_doc = doc["model"]
-    _check_keys(model_doc, {"kind", "params"}, {"kind"}, "model")
-    params = _expect(model_doc.get("params", {}), dict, "model: 'params'")
-    model = ModelSpec(kind=model_doc["kind"], params=params)
-    statics = []
-    for entry in _expect(doc.get("static_params", []), list, "benchmark config: 'static_params'"):
-        _check_keys(
-            entry,
-            {"name", "min", "max", "default"},
-            {"name", "min", "max", "default"},
-            "static param entry",
-        )
-        name = str(entry["name"])
-        statics.append(StaticParam(name, *(_finite(entry[key], f"static param {name!r} {key!r}")
-                                           for key in ("min", "max", "default"))))
+    _check_keys(doc["model"], "model", ("kind",), ("params",))
+    params = _expect(doc["model"].get("params", {}), dict, "model: 'params'")
+    model = ModelSpec(kind=doc["model"]["kind"], params=params)
+    statics = [StaticParam(name, *numbers) for name, numbers in
+               _entries(doc, "static_params", "static param", ("min", "max", "default"))]
     if not isinstance(doc["specs"], dict) or not doc["specs"]:
         raise ValueError("benchmark config: 'specs' must be a non-empty object")
     return Benchmark(

@@ -493,6 +493,14 @@ class TestValidate:
         assert main(["validate", "--benchmark", str(path)]) == 2
         assert "unknown channel" in capsys.readouterr().err
 
+    def test_spec_window_with_no_grid_instant_exits_2(self, tmp_path, capsys):
+        # it used to load, and then every cell of a sweep recorded the error
+        path = tmp_path / "lag_window.json"
+        path.write_text(json.dumps({**LAG_DOC, "specs": {"phi1": "alw[0.01,0.02] (y <= 2)"}}))
+        assert main(["validate", "--benchmark", str(path)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: spec 'phi1': interval [0.01, 0.02] "
+                                           "contains no grid instant at dt=0.1\n")
+
     def test_misspelt_model_param_exits_2(self, tmp_path, capsys):
         path = tmp_path / "lag_tua.json"
         path.write_text(json.dumps({**LAG_DOC, "model": {"kind": "first_order_lag",

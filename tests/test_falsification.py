@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from pulsefalsify.optimizers import OptimizerConfig, turbo_lite_minimize
 from pulsefalsify.signals import PulseParams, Signal, synthesize_pulse
 from pulsefalsify.systems import (
     SimulationError,
+    StaticParam,
     builtin_benchmark,
     builtin_benchmark_names,
     load_benchmark,
@@ -176,6 +178,37 @@ class TestDecode:
         space = build_param_space(builtin_benchmark("lag"), FreeMask.from_label("W"))
         with pytest.raises(ValueError):
             decode(np.zeros(3), space)
+        for points in (np.zeros((2, 3)), np.zeros(1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected points of dimension 1, got shape {points.shape}")):
+                decode_batch(points, space)
+
+    def test_decoded_static_stays_in_its_range(self):
+        # lower + 1.0 * (upper - lower) rounds past upper for about one in
+        # five ranges with two decimals; 1 - 2**-53 must not either
+        rng = np.random.default_rng(0)
+        dsm = builtin_benchmark("dsm")
+        top = np.nextafter(1.0, 0.0)
+        points = np.array([[0.5, 1.0, 1.0, 1.0], [0.5, top, top, top]])
+        for _ in range(40):
+            bounds = np.sort(np.round(rng.normal(0.0, 1.0, (3, 2)), 2), axis=1)
+            statics = tuple(StaticParam(f"x{i + 1}_init", lower, upper + 0.01, lower)
+                            for i, (lower, upper) in enumerate(bounds.tolist()))
+            bench = dataclasses.replace(dsm, static_params=statics)
+            _, values = decode_batch(points, build_param_space(bench, FreeMask.from_label(
+                "W", include_static_params=True)))
+            for p in statics:
+                assert ((p.lower <= values[p.name]) & (values[p.name] <= p.upper)).all()
+
+    def test_static_at_its_upper_bound_scores(self):
+        # -2.0 + 1.0 * 2.1 is 0.10000000000000009, which simulate_batch rejects
+        dsm = builtin_benchmark("dsm")
+        bench = dataclasses.replace(dsm, static_params=tuple(
+            dataclasses.replace(p, lower=-2.0) for p in dsm.static_params))
+        space = build_param_space(bench, FreeMask.from_label("W", include_static_params=True))
+        assert decode_batch(np.array([[0.5, 1.0, 0.0, 0.0]]), space)[1]["x1_init"][0] == 0.1
+        value = batch_objective(bench, "phi1", space)(np.array([[0.5, 1.0, 0.0, 0.0]]))
+        assert math.isfinite(value[0])
 
     def test_mask_monotonicity_random(self, rng):
         bench = builtin_benchmark("cc")

@@ -48,6 +48,11 @@ class TestLatinHypercube:
         assert pts.shape == (1, 3)
         assert np.all((0 <= pts) & (pts <= 1))
 
+    @pytest.mark.parametrize("n, dim", [(0, 3), (4, 0), (-1, 2)])
+    def test_empty_design_rejected(self, rng, n, dim):
+        with pytest.raises(ValueError, match="latin_hypercube requires n >= 1 and dim >= 1"):
+            latin_hypercube(n, dim, rng)
+
     def test_seed_determinism(self):
         a = latin_hypercube(8, 2, np.random.default_rng(7))
         b = latin_hypercube(8, 2, np.random.default_rng(7))

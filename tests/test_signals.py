@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pulsefalsify.signals import (
     Signal,
     denormalize,
     synthesize_pulse,
+    uniform_grid,
 )
 
 
@@ -27,6 +30,16 @@ class TestInputRange:
         with pytest.raises(ValueError, match=r"width upper - lower overflows, got \[-1e\+308"):
             InputRange(-1e308, 1e308)
 
+    @pytest.mark.parametrize("lower, upper, message", [
+        (True, 2.0, "input range lower must be a finite number, got True"),
+        (0.0, "2", "input range upper must be a finite number, got '2'"),
+        (0.0, np.bool_(True), "input range upper must be a finite number, got"),
+    ])
+    def test_rejects_a_bound_that_is_not_a_number(self, lower, upper, message):
+        # float() takes each of these, and True < 2.0 holds
+        with pytest.raises(ValueError, match=re.escape(message)):
+            InputRange(lower, upper)
+
 
 class TestPulseParams:
     def test_bounds(self):
@@ -34,6 +47,14 @@ class TestPulseParams:
             PulseParams(low_n=-0.1, period_n=0.5, width_n=0.5, high_n=1.0, delay_n=0.0)
         with pytest.raises(ValueError):
             PulseParams(low_n=0.0, period_n=2.5, width_n=0.5, high_n=1.0, delay_n=0.0)
+
+    @pytest.mark.parametrize("field", ["low_n", "period_n", "width_n", "high_n", "delay_n"])
+    @pytest.mark.parametrize("value", ["0.5", True, None, float("nan")])
+    def test_field_that_is_not_a_finite_number_rejected(self, field, value):
+        fields = {"low_n": 0.0, "period_n": 0.5, "width_n": 0.5, "high_n": 1.0, "delay_n": 0.0}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be a finite number, got {value!r}")):
+            PulseParams(**{**fields, field: value})
 
     def test_period_extends_to_two(self):
         p = PulseParams(low_n=0.0, period_n=2.0, width_n=0.5, high_n=1.0, delay_n=0.0)
@@ -71,6 +92,19 @@ class TestDenormalize:
             denormalize(p, InputRange(0.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             denormalize(p, InputRange(0.0, 1.0), float("nan"))
+        with pytest.raises(ValueError, match="horizon must be a finite number, got '10'"):
+            denormalize(p, InputRange(0.0, 1.0), "10")
+
+
+class TestUniformGrid:
+    def test_grid_reaches_the_horizon(self):
+        np.testing.assert_array_equal(uniform_grid(1.0, 0.25), [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("dt", [2.0, 0.0, -0.1])
+    def test_dt_outside_the_horizon_rejected(self, dt):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt must satisfy 0 < dt <= horizon, got dt={dt}")):
+            uniform_grid(1.0, dt)
 
 
 class TestSynthesizePulse:

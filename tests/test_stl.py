@@ -150,6 +150,18 @@ class TestParse:
         assert type(clone) is ParseError
         assert (str(clone), clone.line, clone.column) == (str(error), 2, 7)
 
+    @pytest.mark.parametrize("text, message", [
+        ("alw[0,1 (x > 0)", "expected ']', found '(' (line 1, column 9)"),
+        ("alw[0,a](x > 0)", "expected number, found 'a' (line 1, column 7)"),
+        ("x + 1", "expected comparison operator, found '' (line 1, column 6)"),
+        ("2 * 3 > 0", "expected identifier after '*' (line 1, column 5)"),
+        ("2 * alw > 0", "expected identifier after '*' (line 1, column 5)"),
+    ])
+    def test_what_the_parser_expected_is_reported(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("text", ["x > 1e308 + 1e308", "1e308*x + 1e308*x > 0"])
     def test_atom_that_overflows_rejected(self, text):
         with pytest.raises(ParseError, match="non-finite") as exc:
@@ -261,6 +273,21 @@ class TestClassicRobustness:
     def test_non_finite_t0_rejected(self, t0):
         with pytest.raises(ValueError, match=re.escape(f"t0={t0} is not finite")):
             robustness(parse("y > 0"), ramp_trace(), t0, "classic")
+
+    @pytest.mark.parametrize("t0, message", [
+        (0.05, "t0=0.05 is not on the trace grid (dt=0.1)"),
+        (1.1, "t0=1.1 outside the trace domain"),
+        (-0.1, "t0=-0.1 outside the trace domain"),
+    ])
+    def test_t0_off_the_grid_or_outside_the_trace_rejected(self, t0, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            robustness(parse("y > 0"), ramp_trace(), t0, "classic")
+
+    def test_window_with_no_grid_instant_rejected(self):
+        # [0.01, 0.02] lies strictly between the instants 0 and 0.1
+        with pytest.raises(ValueError, match=re.escape(
+                "interval [0.01, 0.02] contains no grid instant at dt=0.1")):
+            robustness(parse("alw[0.01,0.02](y > 0)"), ramp_trace(), 0.0, "classic")
 
     def test_interval_past_the_largest_float_rejected(self):
         with pytest.raises(ValueError, match="not finite on the grid"):

@@ -18,6 +18,7 @@ from pulsefalsify.systems import (
     Benchmark,
     ModelSpec,
     SimulationError,
+    StaticParam,
     builtin_benchmark,
     builtin_benchmark_names,
     _chasing_cars_floats,
@@ -175,6 +176,24 @@ class TestSimulationFailures:
         with pytest.raises(ValueError):
             simulate(b, sig)
 
+    def test_grid_off_by_a_relative_5e_6_rejected(self):
+        # the last instant is 10.00005 s: within np.allclose's default
+        # rtol of 1e-5, but 5e-5 s past the 1e-9 s the grid may differ by
+        b = builtin_benchmark("lag")
+        t = b.grid() * (1 + 5e-6)
+        sig = Signal(times=t, channels=(np.zeros(len(t)),), channel_names=("u",))
+        with pytest.raises(ValueError, match="input signal grid does not match"):
+            simulate(b, sig)
+        # 1e-10 s off at the end is within it
+        simulate(b, Signal(times=b.grid() * (1 + 1e-11), channels=sig.channels,
+                           channel_names=("u",)))
+
+    def test_unknown_static_in_a_batch_rejected(self):
+        b = builtin_benchmark("dsm")
+        u = np.zeros((1, 1, len(b.times)))
+        with pytest.raises(ValueError, match=re.escape("unknown static parameter 'x4_init'")):
+            simulate_batch(b, u, {"x4_init": np.zeros(1)})
+
     def test_divergence_reported_as_simulation_error(self):
         # unstable lag (negative tau) blows up to non-finite state
         bench = load_benchmark(json.dumps({
@@ -245,6 +264,46 @@ class TestLoadBenchmark:
         for name in builtin_benchmark_names():
             b = builtin_benchmark(name)
             assert b.specs
+
+    @pytest.mark.parametrize("change, message", [
+        ({"static_params": [{"name": "y_init", "min": -1.0, "max": 1.0, "default": 2.0}]},
+         "static param 'y_init': default outside range"),
+        ({"static_params": [{"name": "y_init", "min": 1.0, "max": -1.0, "default": 0.0}]},
+         "static param 'y_init': requires lower < upper, got [1.0, -1.0]"),
+        ({"dt": 20.0}, "dt must satisfy 0 < dt <= horizon, got dt=20.0"),
+        ({"model": {"kind": "chasing_cars"},
+          "inputs": [{"name": "u", "min": 0.0, "max": 1.0}] * 2,
+          "specs": {"phi": "alw[0,10](y5 - y4 <= 40)"}},
+         "input channel names must be unique, got ['u', 'u']"),
+        ({"inputs": [{"name": "y", "min": 0.0, "max": 1.0}]},
+         "input names clash with model outputs: ['y']"),
+        ({"specs": {}}, "benchmark config: 'specs' must be a non-empty object"),
+        ({"specs": {"phi": "alw[0.01,0.02](y <= 2)"}},
+         "spec 'phi': interval [0.01, 0.02] contains no grid instant at dt=0.1"),
+        ({"specs": {"phi": "alw[0,10](y <= 2)", "psi": "ev[0,1](alw[0.25,0.28](y <= 2))"}},
+         "spec 'psi': interval [0.25, 0.28] contains no grid instant at dt=0.1"),
+    ])
+    def test_bad_config_message(self, change, message):
+        with pytest.raises(ValueError) as caught:
+            load_benchmark(json.dumps({**self.base_doc(), **change}))
+        assert str(caught.value) == message
+
+    def test_invalid_json_rejected(self):
+        with pytest.raises(ValueError, match="benchmark config is not valid JSON: Expecting"):
+            load_benchmark('{"name": "demo",')
+
+    def test_unknown_builtin_names_the_builtins(self):
+        with pytest.raises(KeyError, match=re.escape(
+                f"no builtin benchmark 'nope'; available: {builtin_benchmark_names()}")):
+            builtin_benchmark("nope")
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        (True, 1.0, "static param 'y_init': lower must be a finite number, got True"),
+        (-1.0, "1", "static param 'y_init': upper must be a finite number, got '1'"),
+    ])
+    def test_static_param_bound_that_is_not_a_number_rejected(self, lower, upper, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StaticParam("y_init", lower, upper, 0.0)
 
     def test_missing_horizon(self):
         doc = self.base_doc()
@@ -356,6 +415,7 @@ class TestLoadBenchmark:
         ({"horizon": math.inf}, "'horizon'"),
         ({"inputs": [{"name": "u", "min": None, "max": 1.0}]}, "input 'u' 'min'"),
         ({"inputs": [{"name": "u", "min": 0.0, "max": math.nan}]}, "input 'u' 'max'"),
+        ({"inputs": [{"name": "u", "min": True, "max": 2.0}]}, "input 'u' 'min'"),
         ({"model": {"kind": "first_order_lag", "params": {"K": "abc"}}}, "model param 'K'"),
         ({"model": {"kind": "first_order_lag", "params": {"tau": math.nan}}}, "model param 'tau'"),
         ({"static_params": [{"name": "y_init", "min": None, "max": 1.0, "default": 0.0}]},
