@@ -39,7 +39,6 @@ from .falsification import (
     FalsificationOutcome,
     FreeMask,
     ParamSpace,
-    PulseParam,
     Witness,
     build_param_space,
     decode,

@@ -13,7 +13,6 @@ indices that the pulse coordinates set; :func:`decode_batch` computes
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .signals import PulseParams, pulse_values, scale_pulse
 from .systems import Benchmark, simulate_batch
 
 __all__ = [
-    "PulseParam",
     "FreeMask",
     "ParamSpace",
     "Witness",
@@ -42,50 +40,42 @@ __all__ = [
 ]
 
 
-class PulseParam(enum.Enum):
-    """The five pulse-generator parameters, in canonical L-P-W-H-D order."""
-
-    LOW = "L"
-    PERIOD = "P"
-    WIDTH = "W"
-    HIGH = "H"
-    DELAY = "D"
-
+# The mask letters, one per PulseParams field in its L-P-W-H-D order.  A
+# tuple, not a string, so that "LP" is not one of them.
+PARAM_LETTERS = tuple(f.name[0].upper() for f in dataclasses.fields(PulseParams))
 
 FIXED_DEFAULTS = PulseParams(low_n=0.0, period_n=0.5, width_n=0.5, high_n=1.0, delay_n=0.0)
 
 
 @dataclass(frozen=True)
 class FreeMask:
-    """Subset of pulse parameters exposed to the optimizer."""
+    """Subset of pulse parameters exposed to the optimizer, as a set of
+    letters of ``PARAM_LETTERS``."""
 
-    params: frozenset[PulseParam]
+    params: frozenset[str]
     include_static_params: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", frozenset(self.params))
-
-    @property
-    def ordered(self) -> tuple[PulseParam, ...]:
-        return tuple(p for p in PulseParam if p in self.params)
+        for letter in self.params:
+            if letter not in PARAM_LETTERS:
+                raise ValueError(f"unknown pulse parameter {letter!r}; "
+                                 f"a mask holds letters of {'-'.join(PARAM_LETTERS)}")
 
     @property
     def label(self) -> str:
-        return "-".join(p.value for p in self.ordered)
+        return "-".join(letter for letter in PARAM_LETTERS if letter in self.params)
 
     @classmethod
     def from_label(cls, label: str, include_static_params: bool = False) -> "FreeMask":
         """Parse labels like "W" or "L-P-W-H-D"."""
-        by_letter = {p.value: p for p in PulseParam}
         parts = [s.strip() for s in label.split("-") if s.strip()]
         if not parts:
             raise ValueError(f"empty mask label {label!r}")
-        params = set()
         for part in parts:
-            if part.upper() not in by_letter:
+            if part.upper() not in PARAM_LETTERS:
                 raise ValueError(f"unknown pulse parameter {part!r} in mask {label!r}")
-            params.add(by_letter[part.upper()])
-        return cls(frozenset(params), include_static_params)
+        return cls(frozenset(part.upper() for part in parts), include_static_params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +108,10 @@ def build_param_space(benchmark: Benchmark, mask: FreeMask) -> ParamSpace:
     """
     if not mask.params:
         raise ValueError("free mask must contain at least one pulse parameter")
-    period_upper = 1.0 if PulseParam.DELAY in mask.params else 2.0
-    pulses = [(channel, field, f"{name}.{param.value}",
-               period_upper if param is PulseParam.PERIOD else 1.0)
+    period_upper = 1.0 if "D" in mask.params else 2.0
+    pulses = [(channel, field, f"{name}.{letter}", period_upper if letter == "P" else 1.0)
               for channel, name in enumerate(benchmark.input_names)
-              for field, param in enumerate(PulseParam) if param in mask.params]
+              for field, letter in enumerate(PARAM_LETTERS) if letter in mask.params]
     statics = benchmark.static_params if mask.include_static_params else ()
     channels, fields, names, upper = zip(*pulses)
     lower = np.array([0.0] * len(pulses) + [p.lower for p in statics])

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import stl
-from .falsification import FreeMask, PulseParam, build_param_space, decode_batch, score_blocks
+from .falsification import PARAM_LETTERS, FreeMask, build_param_space, decode_batch, score_blocks
 from .optimizers import OptimizerConfig, as_integer, lockstep, searcher
 from .systems import Benchmark
 
@@ -52,8 +52,6 @@ SWEEP_MASK_LABELS = (
     "L-P", "L-W", "P-W",
     "L-P-W", "L-P-W-H", "L-P-W-D", "L-P-W-H-D",
 )
-
-_PARAM_LETTERS = tuple(p.value for p in PulseParam)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def single_param_successes(results: list[RunRecord]) -> dict[tuple[str, str], se
     out: dict[tuple[str, str], set[str]] = {}
     for rec in results:
         singles = out.setdefault((rec.benchmark, rec.spec), set())
-        if rec.mask in _PARAM_LETTERS and rec.falsified:
+        if rec.mask in PARAM_LETTERS and rec.falsified:
             singles.add(rec.mask)
     return out
 
@@ -217,7 +215,7 @@ def combination_coverage(
     best_by_size: dict[int, tuple[tuple[str, ...], int]] = {}
     for size in range(1, 6):
         best, top = [], -1
-        for combo in itertools.combinations(_PARAM_LETTERS, size):
+        for combo in itertools.combinations(PARAM_LETTERS, size):
             label = "-".join(combo)
             counts[label] = covered = sum(
                 any(p in singles for p in combo) or (spec_key, label) in own_success

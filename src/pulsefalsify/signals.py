@@ -9,7 +9,7 @@ grid and are sampled with zero-order hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -87,10 +87,10 @@ class PulseParams:
     delay_n: float
 
     def __post_init__(self) -> None:
-        for name in ("low_n", "period_n", "width_n", "high_n", "delay_n"):
-            value, top = getattr(self, name), 2 if name == "period_n" else 1
-            if not 0.0 <= _finite(value, name) <= top:
-                raise ValueError(f"{name} must be in [0, {top}], got {value}")
+        for field in fields(self):
+            value, top = getattr(self, field.name), 2 if field.name == "period_n" else 1
+            if not 0.0 <= _finite(value, field.name) <= top:
+                raise ValueError(f"{field.name} must be in [0, {top}], got {value}")
 
 
 class PhysicalPulse(NamedTuple):
@@ -234,7 +234,5 @@ def synthesize_pulse(
     """Synthesize a single-channel pulse-train signal on a uniform grid."""
     pulse = denormalize(params, rng, horizon)
     times = uniform_grid(horizon, dt)
-    values = pulse_values(
-        pulse.period, pulse.width, pulse.delay, pulse.low, pulse.high, horizon, times
-    )
+    values = pulse_values(*pulse, horizon, times)
     return Signal(times=times, channels=(values,), channel_names=(name,))

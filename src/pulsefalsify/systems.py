@@ -77,7 +77,8 @@ class StaticParam:
 
     def __post_init__(self) -> None:
         _check_range(f"static param {self.name!r}:", self.lower, self.upper)
-        if not self.lower <= self.default <= self.upper:
+        default = _finite(self.default, f"static param {self.name!r}: default")
+        if not self.lower <= default <= self.upper:
             raise ValueError(f"static param {self.name!r}: default outside range")
 
 
@@ -94,8 +95,11 @@ class Benchmark:
     def __post_init__(self) -> None:
         if not self.inputs:
             raise ValueError("benchmark needs at least one input channel")
-        if not (math.isfinite(self.horizon) and math.isfinite(self.dt)):
-            raise ValueError(f"horizon and dt must be finite, got {self.horizon} and {self.dt}")
+        try:
+            _finite(self.horizon, "horizon"), _finite(self.dt, "dt")
+        except ValueError as exc:
+            raise ValueError(
+                f"horizon and dt must be finite, got {self.horizon!r} and {self.dt!r}") from exc
         if self.horizon <= 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         whole, steps = _grid_steps(self.horizon, self.dt), self.horizon / self.dt
@@ -522,7 +526,11 @@ def simulate_batch(
         if name not in declared:
             raise ValueError(f"unknown static parameter {name!r}")
         s = declared[name]
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values)
+        if values.dtype.kind not in "iuf":  # astype(float) takes a bool or a numeric string
+            raise ValueError(f"static parameter {name!r} takes integer or float values, "
+                             f"got dtype {values.dtype}")
+        values = values.astype(float, copy=False)
         bad = ~((s.lower <= values) & (values <= s.upper))
         if np.any(bad):
             raise ValueError(
@@ -548,7 +556,8 @@ def simulate(
     if len(inputs.times) != len(grid) or not np.allclose(inputs.times, grid, rtol=0, atol=1e-9):
         raise ValueError("input signal grid does not match the benchmark grid")
     u = np.stack([inputs.channel(name) for name in benchmark.input_names])
-    statics = {name: np.array([float(v)]) for name, v in (static_values or {}).items()}
+    statics = {name: np.array([_finite(v, f"static parameter {name!r}")])
+               for name, v in (static_values or {}).items()}
     out = simulate_batch(benchmark, u[None], statics)[0]
     if not np.all(np.isfinite(out)):
         raise SimulationError(

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -10,8 +11,8 @@ import pytest
 from pulsefalsify import falsification, stl
 from pulsefalsify.falsification import (
     FIXED_DEFAULTS,
+    PARAM_LETTERS,
     FreeMask,
-    PulseParam,
     Witness,
     batch_objective,
     build_param_space,
@@ -69,6 +70,37 @@ class TestFreeMask:
         with pytest.raises(ValueError):
             FreeMask.from_label("")
 
+    @pytest.mark.parametrize("label, message", [
+        ("LP", "unknown pulse parameter 'LP' in mask 'LP'"),
+        ("PW", "unknown pulse parameter 'PW' in mask 'PW'"),
+        ("LPWHD", "unknown pulse parameter 'LPWHD' in mask 'LPWHD'"),
+        ("X", "unknown pulse parameter 'X' in mask 'X'"),
+        ("L-X", "unknown pulse parameter 'X' in mask 'L-X'"),
+        ("-", "empty mask label '-'"),
+    ])
+    def test_label_rejected_with_its_message(self, label, message):
+        # a mask is a set of single letters: "LP" is not one of them
+        with pytest.raises(ValueError) as info:
+            FreeMask.from_label(label)
+        assert str(info.value) == message
+
+    def test_every_shuffled_lower_case_label_comes_back_canonical(self, rng):
+        labels = set()
+        for size in range(1, 6):
+            for combo in itertools.combinations("LPWHD", size):
+                letters = list(combo)
+                rng.shuffle(letters)
+                mask = FreeMask.from_label("-".join(letters).lower())
+                assert mask.label == "-".join(combo)
+                assert mask.params == set(combo)
+                labels.add(mask.label)
+        assert len(labels) == 31
+
+    @pytest.mark.parametrize("params", [{"X"}, {"l"}, {"LP"}, {"L", "D", "Q"}])
+    def test_unknown_letter_rejected_at_construction(self, params):
+        with pytest.raises(ValueError, match="unknown pulse parameter"):
+            FreeMask(frozenset(params))
+
 
 class TestBuildParamSpace:
     def test_cc_width_only(self):
@@ -93,6 +125,20 @@ class TestBuildParamSpace:
         space = build_param_space(builtin_benchmark("cc"), FreeMask.from_label("W-L-P"))
         assert list(space.names) == ["throttle.L", "throttle.P", "throttle.W",
                                      "brake.L", "brake.P", "brake.W"]
+
+    @pytest.mark.parametrize("label, names, channels, fields", [
+        ("W", ["throttle.W", "brake.W"], [0, 1], [2, 2]),
+        ("P-D", ["throttle.P", "throttle.D", "brake.P", "brake.D"], [0, 0, 1, 1], [1, 4, 1, 4]),
+        ("L-P-W-H-D",
+         ["throttle.L", "throttle.P", "throttle.W", "throttle.H", "throttle.D",
+          "brake.L", "brake.P", "brake.W", "brake.H", "brake.D"],
+         [0, 0, 0, 0, 0, 1, 1, 1, 1, 1], [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]),
+    ])
+    def test_cc_coordinates_match_the_table(self, label, names, channels, fields):
+        space = build_param_space(builtin_benchmark("cc"), FreeMask.from_label(label))
+        assert list(space.names) == names
+        assert space.channels.tolist() == channels
+        assert space.fields.tolist() == fields
 
     def test_static_params_appended(self):
         dsm = builtin_benchmark("dsm")
@@ -131,9 +177,9 @@ def documented_decode(bench, label, include_static, point):
 
 class TestDecode:
     def test_pulse_param_letters_follow_pulse_params_fields(self):
-        assert "".join(p.value for p in PulseParam) == "LPWHD"
-        assert [p.name.lower() + "_n" for p in PulseParam] == [
-            f.name for f in dataclasses.fields(PulseParams)]
+        assert PARAM_LETTERS == ("L", "P", "W", "H", "D")
+        assert [f.name for f in dataclasses.fields(PulseParams)] == [
+            "low_n", "period_n", "width_n", "high_n", "delay_n"]
 
     @pytest.mark.parametrize("include_static", [False, True])
     @pytest.mark.parametrize("label", SWEEP_MASK_LABELS)
@@ -215,7 +261,8 @@ class TestDecode:
         for label in ("L", "P-W", "L-H-D"):
             mask = FreeMask.from_label(label)
             space = build_param_space(bench, mask)
-            free_fields = {p.name.lower() + "_n" for p in mask.params}
+            free_fields = {f.name for f in dataclasses.fields(PulseParams)
+                           if f.name[0].upper() in mask.params}
             for _ in range(20):
                 pulses, _ = decode(rng.random(space.dimension), space)
                 for p in pulses.values():

@@ -188,6 +188,36 @@ class TestSimulationFailures:
         simulate(b, Signal(times=b.grid() * (1 + 1e-11), channels=sig.channels,
                            channel_names=("u",)))
 
+    @staticmethod
+    def lag_with_y_init():
+        return load_benchmark(json.dumps({
+            "name": "lag", "horizon": 10.0, "dt": 0.1,
+            "inputs": [{"name": "u", "min": 0.0, "max": 1.0}],
+            "model": {"kind": "first_order_lag"},
+            "static_params": [{"name": "y_init", "min": -2.0, "max": 2.0, "default": 0.0}],
+            "specs": {"phi1": "alw[0,10](y <= 2)"},
+        }))
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1.5", None])
+    def test_static_that_is_not_a_number_rejected(self, value):
+        b = self.lag_with_y_init()
+        with pytest.raises(ValueError, match=re.escape(
+                f"static parameter 'y_init' must be a finite number, got {value!r}")):
+            simulate(b, constant_inputs(b, [0.0]), {"y_init": value})
+        assert simulate(b, constant_inputs(b, [0.0]), {"y_init": 1}).channel("y")[0] == 1.0
+
+    @pytest.mark.parametrize("values", [
+        np.array([True]), [False], np.array(["1.5"]), np.array([1.5], dtype=object)])
+    def test_static_array_that_is_not_numbers_rejected_in_a_batch(self, values):
+        b = self.lag_with_y_init()
+        u = np.zeros((1, 1, len(b.times)))
+        with pytest.raises(ValueError, match=re.escape(
+                "static parameter 'y_init' takes integer or float values, got dtype")):
+            simulate_batch(b, u, {"y_init": values})
+        for numbers in (np.array([1]), [1.5], np.array([-2.0], dtype=np.float32)):
+            y = simulate_batch(b, u, {"y_init": numbers})
+            assert y[0, 0, 0] == float(np.asarray(numbers)[0])
+
     def test_unknown_static_in_a_batch_rejected(self):
         b = builtin_benchmark("dsm")
         u = np.zeros((1, 1, len(b.times)))
@@ -304,6 +334,12 @@ class TestLoadBenchmark:
     def test_static_param_bound_that_is_not_a_number_rejected(self, lower, upper, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             StaticParam("y_init", lower, upper, 0.0)
+
+    @pytest.mark.parametrize("default", [True, np.False_, "1", None])
+    def test_static_param_default_that_is_not_a_number_rejected(self, default):
+        with pytest.raises(ValueError, match=re.escape(
+                f"static param 'y_init': default must be a finite number, got {default!r}")):
+            StaticParam("y_init", 0.0, 2.0, default)
 
     def test_missing_horizon(self):
         doc = self.base_doc()
@@ -475,7 +511,8 @@ class TestLoadBenchmark:
         doc["static_params"][0]["default"] = 0.5
         assert load_benchmark(json.dumps(doc)).static_params[0].default == 0.5
 
-    @pytest.mark.parametrize("horizon, dt", [(math.inf, 0.1), (10.0, math.nan)])
+    @pytest.mark.parametrize("horizon, dt", [
+        (math.inf, 0.1), (10.0, math.nan), (True, 0.5), ("10", 0.1), (10.0, "0.1")])
     def test_horizon_or_dt_not_finite_rejected(self, horizon, dt):
         with pytest.raises(ValueError, match="horizon and dt must be finite"):
             Benchmark(
